@@ -27,8 +27,8 @@ print("(three shared directions -> three large values, then a drop)")
 
 # the projections are whitened (up to the small ridge): unit variance,
 # orthogonal components
-U = model.transform(X, "image")
-V = model.transform(Y, "text")
+U = model.project(X, "image")
+V = model.project(Y, "text")
 Cuu = U @ U.T / (n - 1)
 print("\nmax |U U^T/(n-1) - I| =", float(np.abs(Cuu - np.eye(6)).max()))
 
@@ -43,4 +43,4 @@ print("max |Wx^T Cxx Wx - I| =", float(np.abs(model.Wx.T @ Cxx @ model.Wx - np.e
 # new samples from the same generator project into the shared space
 X_new = A @ rng.standard_normal((3, 5)) + 0.5 * rng.standard_normal((8, 5))
 print("\nprojection of 5 fresh samples, first two components:")
-print(np.array2string(model.transform(X_new, "image")[:2], precision=3))
+print(np.array2string(model.project(X_new, "image")[:2], precision=3))

@@ -29,8 +29,8 @@ from .dataio import (
     synth_generate,
     write_dataset,
 )
-from .dcca import DeepCcaModel, cca_objective, dcca_project, train_dcca
-from .kcca import KernelCcaModel, fit_kcca, gaussian_kernel, kcca_project, median_heuristic_bandwidth
+from .dcca import DeepCcaModel, cca_objective, train_dcca
+from .kcca import KernelCcaModel, KernelMap, fit_kcca, gaussian_kernel, median_heuristic_bandwidth
 from .linalg import (
     DegenerateBatchError,
     NotPositiveDefiniteError,
@@ -66,6 +66,7 @@ __all__ = [
     "GeoFilter",
     "GroupIndex",
     "KernelCcaModel",
+    "KernelMap",
     "LinearCcaModel",
     "MlpNetwork",
     "NoCrossPairsError",
@@ -85,14 +86,12 @@ __all__ = [
     "cca_objective",
     "cca_transform",
     "combined_cross_covariance",
-    "dcca_project",
     "evaluate",
     "fit_cca",
     "fit_kcca",
     "gaussian_kernel",
     "haversine_km",
     "inv_sqrt_sym",
-    "kcca_project",
     "load_dataset",
     "load_index",
     "load_model",

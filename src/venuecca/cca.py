@@ -10,11 +10,13 @@ cross-covariance with a blend of two group-structured estimates:
     C(beta) = beta * sum_g w_g C1(g) + (1 - beta) * sum_g w'_g C2(g)
 
 so beta=1 recovers the plain estimate and smaller beta pulls the solution
-toward directions where different venues of one category agree.
+toward directions where different venues of one category agree. With no
+groups, or at beta=1, the blend is the plain (1/n) phi_x phi_y^T under
+both group weightings, so a category-weighted run at beta=1 is the plain
+run. blend_partners is the one implementation of the blend.
 """
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,8 +81,6 @@ def pair_coefficients(groups, beta, group_weighting="size"):
     Singleton groups get b_i = 0 and the cross mass renormalizes over the
     rest.
     """
-    if group_weighting not in ("size", "equal"):
-        raise ValueError(f"unknown group_weighting {group_weighting!r}")
     n = groups.n_samples
     a = np.zeros(n)
     b = np.zeros(n)
@@ -117,27 +117,38 @@ def group_sums(M, groups):
     return S
 
 
+def blend_partners(phi, groups, beta, group_weighting="size"):
+    """Partner matrix E(phi) of the blended cross-covariance.
+
+    C(beta) = phi_x E(phi_y)^T = E(phi_x) phi_y^T for batches whose columns
+    are the samples of ``groups``. Column i of E(phi) is
+    beta a_i phi_i + (1 - beta) b_i (s_g(i) - phi_i); a and b are constant
+    within a group, which makes the two forms equal. With no groups or at
+    beta=1 it is phi / n under both weightings.
+    """
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    if group_weighting not in ("size", "equal"):
+        raise ValueError(f"unknown group_weighting {group_weighting!r}")
+    if groups is None or beta == 1.0:
+        return phi / phi.shape[1]
+    a, b = pair_coefficients(groups, beta, group_weighting)
+    return beta * (phi * a) + (1.0 - beta) * ((group_sums(phi, groups) - phi) * b)
+
+
 def combined_cross_covariance(phi_x, phi_y, groups, beta, group_weighting="size"):
     """Category-weighted cross-covariance of two centered batches.
 
-    At beta=1 this is exactly (1/n) phi_x phi_y^T (expectation scaling,
-    which is what the blend's mean-over-pairs definition produces); at
-    beta=0 only cross-venue pairs inside each group contribute.
+    Uses expectation scaling, which is what the blend's mean-over-pairs
+    definition produces: (1/n) phi_x phi_y^T with no groups or at beta=1;
+    at beta=0 only cross-venue pairs inside each group contribute.
     """
     phi_x = np.asarray(phi_x, dtype=float)
     phi_y = np.asarray(phi_y, dtype=float)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
     n = phi_x.shape[1]
-    if phi_y.shape[1] != n or groups.n_samples != n:
+    if phi_y.shape[1] != n or (groups is not None and groups.n_samples != n):
         raise ValueError("phi_x, phi_y and groups disagree on sample count")
-    if beta == 1.0:
-        return (phi_x @ phi_y.T) / n
-    a, b = pair_coefficients(groups, beta, group_weighting)
-    same = (phi_x * a) @ phi_y.T
-    sums_y = group_sums(phi_y, groups)
-    cross = (phi_x * b) @ (sums_y - phi_y).T
-    return beta * same + (1.0 - beta) * cross
+    return phi_x @ blend_partners(phi_y, groups, beta, group_weighting).T
 
 
 @dataclass
@@ -156,12 +167,24 @@ class LinearCcaModel:
     def k(self):
         return self.Wx.shape[1]
 
-    def transform(self, Z, side):
-        return cca_transform(self, Z, side)
-
     # retrieval talks to every model kind through .project
     def project(self, Z, side):
         return cca_transform(self, Z, side)
+
+
+class MappedCcaModel:
+    """A feature map per view (``feature_maps``) in front of a linear ``head``."""
+
+    @property
+    def rho(self):
+        return self.head.rho
+
+    @property
+    def k(self):
+        return self.head.k
+
+    def project(self, Z, side):
+        return cca_transform(self.head, Z, side, self.feature_maps)
 
 
 def fit_cca(X, Y, k, r=0.0, groups=None, beta=1.0, group_weighting="size"):
@@ -200,11 +223,7 @@ def fit_cca(X, Y, k, r=0.0, groups=None, beta=1.0, group_weighting="size"):
     Yc = Y - mean_y[:, None]
     Cxx = regularized_covariance(Xc, r)
     Cyy = regularized_covariance(Yc, r)
-    if groups is None:
-        Cxy = (Xc @ Yc.T) / (n - 1)
-    else:
-        Cxy = combined_cross_covariance(Xc, Yc, groups, beta, group_weighting)
-        Cxy = Cxy * (n / (n - 1))
+    Cxy = combined_cross_covariance(Xc, Yc, groups, beta, group_weighting) * (n / (n - 1))
     try:
         A = inv_sqrt_sym(Cxx)
         B = inv_sqrt_sym(Cyy)
@@ -225,22 +244,26 @@ def fit_cca(X, Y, k, r=0.0, groups=None, beta=1.0, group_weighting="size"):
     )
 
 
-def cca_transform(model, Z, side):
+def cca_transform(head, Z, side, feature_maps=None):
     """Project raw vectors into the canonical space.
 
-    side selects the projection: "image" uses (mean_x, Wx), "text" uses
-    (mean_y, Wy). Z is (d, m) with columns as samples; returns (k, m).
+    side selects the view: "image" uses (mean_x, Wx) and the first
+    feature map, "text" uses (mean_y, Wy) and the second. feature_maps is
+    None for linear CCA (the identity) or a pair of callables with an
+    input_dim, applied before the head. Z is (d, m) with columns as
+    samples, or one d-vector; returns (k, m).
     """
     if side not in ("image", "text"):
         raise ValueError(f"side must be 'image' or 'text', got {side!r}")
     Z = np.asarray(Z, dtype=float)
-    mean, W = (
-        (model.mean_x, model.Wx) if side == "image" else (model.mean_y, model.Wy)
-    )
     if Z.ndim == 1:
         Z = Z[:, None]
-    if Z.shape[0] != mean.shape[0]:
-        raise ValueError(
-            f"{side} side expects {mean.shape[0]}-dim vectors, got {Z.shape[0]}"
-        )
+    text = side == "text"
+    mean, W = (head.mean_y, head.Wy) if text else (head.mean_x, head.Wx)
+    fmap = None if feature_maps is None else feature_maps[text]
+    dim = mean.shape[0] if fmap is None else fmap.input_dim
+    if Z.shape[0] != dim:
+        raise ValueError(f"{side} side expects {dim}-dim vectors, got {Z.shape[0]}")
+    if fmap is not None:
+        Z = fmap(Z)
     return W.T @ (Z - mean[:, None])

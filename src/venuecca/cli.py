@@ -104,7 +104,7 @@ def _train_model(train_set, config):
             group_weighting=config.group_weighting,
         )
     if method in ("kcca", "c-kcca"):
-        model = fit_kcca(
+        return fit_kcca(
             train_set.X,
             train_set.Y,
             config.k,
@@ -115,7 +115,6 @@ def _train_model(train_set, config):
             beta=config.beta,
             group_weighting=config.group_weighting,
         )
-        return model
     tc = TrainConfig(
         learning_rate=config.lr,
         batch_size=config.batch_size,
@@ -178,13 +177,20 @@ def _split_and_pairs(config):
 
 
 def _config_from_args(args, command):
+    """Resolve the flags; method None means a saved --model is evaluated."""
+    if args.method is None:
+        for flag, value in (("--beta", args.beta), ("--sigma", args.sigma)):
+            if value is not None:
+                raise ValueError(
+                    f"{flag} sets how a model is trained; --model evaluates a trained model"
+                )
     config = RunConfig(
         command=command,
         method=args.method,
         manifest=args.manifest,
         out=args.out,
         seed=args.seed,
-        beta=_resolve_beta(args.method, args.beta),
+        beta=None if args.method is None else _resolve_beta(args.method, args.beta),
         r=args.r,
         k=args.k,
         lr=args.lr,
@@ -270,12 +276,7 @@ def cmd_eval(args):
         raise ValueError("eval needs --model or --method")
     if args.folds > 1 and args.method is None:
         raise ValueError("--folds retrains per fold and therefore needs --method")
-    if args.method is None:
-        args.method = "cca"  # placeholder; not used when --model given
-        config = _config_from_args(args, "eval")
-        config.method = None
-    else:
-        config = _config_from_args(args, "eval")
+    config = _config_from_args(args, "eval")
     config.geo_radius = args.geo_radius
     config.position_noise_km = args.position_noise_km
     config.weight_by_rho = args.weight_by_rho

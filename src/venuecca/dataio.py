@@ -68,15 +68,20 @@ def write_matrix(path, a):
         fh.write(a.tobytes(order="C"))
 
 
+def _read_exactly(fh, size, path, what):
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise DatasetError(f"{path}: truncated {what}")
+    return raw
+
+
 def read_matrix(path):
     with open(path, "rb") as fh:
         magic = fh.read(len(MATRIX_MAGIC))
         if magic != MATRIX_MAGIC:
             raise DatasetError(f"{path}: bad magic, not a feature matrix file")
-        rows, cols = struct.unpack("<II", fh.read(8))
-        data = fh.read(rows * cols * 8)
-    if len(data) != rows * cols * 8:
-        raise DatasetError(f"{path}: truncated matrix file")
+        rows, cols = struct.unpack("<II", _read_exactly(fh, 8, path, "header"))
+        data = _read_exactly(fh, rows * cols * 8, path, "matrix file")
     return np.frombuffer(data, dtype="<f8").reshape(rows, cols).astype(float)
 
 
@@ -157,13 +162,15 @@ def read_container(path):
         magic = fh.read(len(CONTAINER_MAGIC))
         if magic != CONTAINER_MAGIC:
             raise DatasetError(f"{path}: not a container file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<I", _read_exactly(fh, 4, path, "header"))
+        payload = _read_exactly(fh, hlen, path, "header")
+        try:
+            header = json.loads(payload.decode("utf-8"))
+        except ValueError as e:  # bad UTF-8 or JSON
+            raise DatasetError(f"{path}: container header is not valid JSON ({e})") from None
         blocks = {}
         for name, rows, cols in header["blocks"]:
-            raw = fh.read(rows * cols * 8)
-            if len(raw) != rows * cols * 8:
-                raise DatasetError(f"{path}: truncated block {name!r}")
+            raw = _read_exactly(fh, rows * cols * 8, path, f"block {name!r}")
             blocks[name] = (
                 np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(float)
             )

@@ -6,13 +6,14 @@ k singular values of T = C_xx^{-1/2} C_xy C_yy^{-1/2}, where C_xy is the
 beta-blend from the cca module. Its gradient with respect to the raw
 outputs is computed analytically; the blend contributes per-sample group
 terms on top of the classic deep-CCA gradient, and beta=1 reduces to that
-classic form exactly.
+classic form exactly, under either group weighting.
 
 Training alternates: forward both nets on a category-stratified batch,
 solve the small CCA in closed form, push the objective's gradient back
 through both nets, and let Adam take a step. After the loop a linear head
-is fitted on eval-mode outputs of the full training set; projections go
-through net then head.
+is fitted on eval-mode outputs of the full training set. The two networks,
+run in eval mode, are the model's feature maps: projections go through
+cca.cca_transform, net then head, as for every model kind.
 """
 
 import math
@@ -24,11 +25,10 @@ import numpy as np
 from .cca import (
     GroupIndex,
     LinearCcaModel,
+    MappedCcaModel,
     NoCrossPairsError,
-    cca_transform,
+    blend_partners,
     fit_cca,
-    group_sums,
-    pair_coefficients,
 )
 from .linalg import inv_sqrt_sym, regularized_covariance
 from .neural import AdamState, MlpNetwork, Standardizer, adam_step, mlp_backward, mlp_forward
@@ -77,18 +77,9 @@ def cca_objective(Hx, Hy, groups=None, beta=1.0, r=1e-4, k=None, group_weighting
     Cxx = regularized_covariance(Hxc, r)
     Cyy = regularized_covariance(Hyc, r)
     rescale = n / (n - 1.0)
-    if groups is None:
-        Cxy = (Hxc @ Hyc.T) / (n - 1.0)
-    else:
-        a, b = pair_coefficients(groups, beta, group_weighting)
-        same = (Hxc * a) @ Hyc.T
-        if beta < 1.0:
-            diff_x = group_sums(Hxc, groups) - Hxc
-            diff_y = group_sums(Hyc, groups) - Hyc
-            cross = (Hxc * b) @ diff_y.T
-        else:
-            cross = 0.0
-        Cxy = rescale * (beta * same + (1.0 - beta) * cross)
+    Ex = blend_partners(Hxc, groups, beta, group_weighting)
+    Ey = blend_partners(Hyc, groups, beta, group_weighting)
+    Cxy = rescale * (Hxc @ Ey.T)
     A = inv_sqrt_sym(Cxx)
     B = inv_sqrt_sym(Cyy)
     T = A @ Cxy @ B
@@ -107,15 +98,8 @@ def cca_objective(Hx, Hy, groups=None, beta=1.0, r=1e-4, k=None, group_weighting
     nabla_yy = -0.5 * (B @ (Vk * sk) @ Vk.T @ B)
     gx = (2.0 / (n - 1.0)) * (nabla_xx @ Hxc)
     gy = (2.0 / (n - 1.0)) * (nabla_yy @ Hyc)
-    if groups is None:
-        gx += (nabla_xy @ Hyc) / (n - 1.0)
-        gy += (nabla_xy.T @ Hxc) / (n - 1.0)
-    else:
-        gx += rescale * beta * (nabla_xy @ (Hyc * a))
-        gy += rescale * beta * (nabla_xy.T @ (Hxc * a))
-        if beta < 1.0:
-            gx += rescale * (1.0 - beta) * (nabla_xy @ (diff_y * b))
-            gy += rescale * (1.0 - beta) * (nabla_xy.T @ (diff_x * b))
+    gx += rescale * (nabla_xy @ Ey)
+    gy += rescale * (nabla_xy.T @ Ex)
     # chain through the centering map: right-multiply by I - 11^T/n
     gx -= gx.mean(axis=1, keepdims=True)
     gy -= gy.mean(axis=1, keepdims=True)
@@ -123,7 +107,7 @@ def cca_objective(Hx, Hy, groups=None, beta=1.0, r=1e-4, k=None, group_weighting
 
 
 @dataclass
-class DeepCcaModel:
+class DeepCcaModel(MappedCcaModel):
     """Two trained sub-networks plus the linear head fitted after training."""
 
     net_x: MlpNetwork
@@ -134,15 +118,8 @@ class DeepCcaModel:
     history_epoch: np.ndarray
 
     @property
-    def rho(self):
-        return self.head.rho
-
-    @property
-    def k(self):
-        return self.head.k
-
-    def project(self, Z, side):
-        return dcca_project(self, Z, side)
+    def feature_maps(self):
+        return self.net_x, self.net_y
 
 
 def stratified_batches(categories, batch_size, rng):
@@ -208,30 +185,17 @@ def train_dcca(train, config):
             cache_x = mlp_forward(net_x, train.X[:, idx], mode="train", seed=seed_x)
             cache_y = mlp_forward(net_y, train.Y[:, idx], mode="train", seed=seed_y)
             bgroups = GroupIndex.from_labels(train.categories[idx])
+            Hx, Hy = cache_x.output, cache_y.output
             try:
                 value, gx, gy = cca_objective(
-                    cache_x.output,
-                    cache_y.output,
-                    groups=bgroups,
-                    beta=config.beta,
-                    r=config.r,
-                    k=config.k,
-                    group_weighting=config.group_weighting,
+                    Hx, Hy, bgroups, config.beta, config.r, config.k, config.group_weighting
                 )
             except NoCrossPairsError:
                 warnings.warn(
                     "batch holds one sample per category; falling back to the "
                     "pairwise covariance for this batch"
                 )
-                value, gx, gy = cca_objective(
-                    cache_x.output,
-                    cache_y.output,
-                    groups=bgroups,
-                    beta=1.0,
-                    r=config.r,
-                    k=config.k,
-                    group_weighting=config.group_weighting,
-                )
+                value, gx, gy = cca_objective(Hx, Hy, r=config.r, k=config.k)
             # Adam minimizes; the objective is maximized
             grads_x, _ = mlp_backward(net_x, cache_x, -gx)
             grads_y, _ = mlp_backward(net_y, cache_y, -gy)
@@ -246,24 +210,15 @@ def train_dcca(train, config):
             if stall >= config.patience:
                 break
         prev_mean = epoch_mean
-    Hx = mlp_forward(net_x, train.X, mode="eval").output
-    Hy = mlp_forward(net_y, train.Y, mode="eval").output
+    Hx, Hy = net_x(train.X), net_y(train.Y)
     try:
-        head = fit_cca(
-            Hx,
-            Hy,
-            config.k,
-            config.r,
-            groups=groups_full,
-            beta=config.beta,
-            group_weighting=config.group_weighting,
-        )
+        head = fit_cca(Hx, Hy, config.k, config.r, groups_full, config.beta, config.group_weighting)
     except NoCrossPairsError:
         warnings.warn(
             "training set holds one sample per category; head falls back to "
             "the pairwise covariance"
         )
-        head = fit_cca(Hx, Hy, config.k, config.r, groups=groups_full, beta=1.0)
+        head = fit_cca(Hx, Hy, config.k, config.r)
     return DeepCcaModel(
         net_x=net_x,
         net_y=net_y,
@@ -273,14 +228,3 @@ def train_dcca(train, config):
         history_epoch=np.array(history_epoch, dtype=int),
     )
 
-
-def dcca_project(model, Z, side):
-    """Eval-mode forward through one sub-network, then the linear head."""
-    if side not in ("image", "text"):
-        raise ValueError(f"side must be 'image' or 'text', got {side!r}")
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    net = model.net_x if side == "image" else model.net_y
-    H = mlp_forward(net, Z, mode="eval").output
-    return cca_transform(model.head, H, side)

@@ -5,8 +5,9 @@ centered kernel are an n-dimensional feature representation of the n
 samples, and running the linear solver on those columns is exactly dual
 KCCA. The ridge r then lands on K^2 (through the representation's
 covariance), which is the stabilized variant that keeps the whitening
-well-posed; projections of new points are centered kernel columns against
-the retained training set.
+well-posed. So a kernel model is one KernelMap per view (a new point's
+centered kernel column against the retained training set) in front of
+the linear head, and projects through cca.cca_transform like every model.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .cca import LinearCcaModel, cca_transform, fit_cca
+from .cca import LinearCcaModel, MappedCcaModel, fit_cca
 from .linalg import NotPositiveDefiniteError
 
 
@@ -55,51 +56,59 @@ def _center_columns(K_cols, mu, grand):
     return K_cols - K_cols.mean(axis=0, keepdims=True) - mu[:, None] + grand
 
 
-@dataclass
-class KernelCcaModel:
-    """Dual-space model. Retains the training features it kernels against."""
-
-    Xtrain: np.ndarray
-    Ytrain: np.ndarray
-    kernel: str
-    sigma_x: float
-    sigma_y: float
-    mu_x: np.ndarray
-    mu_y: np.ndarray
-    grand_x: float
-    grand_y: float
-    head: LinearCcaModel
-    r: float
-    beta: float
-
-    @property
-    def rho(self):
-        return self.head.rho
-
-    @property
-    def k(self):
-        return self.head.k
-
-    # dual weights: column j of alpha_x weights the training samples when
-    # scoring a new point's kernel vector on component j
-    @property
-    def alpha_x(self):
-        return self.head.Wx
-
-    @property
-    def alpha_y(self):
-        return self.head.Wy
-
-    def project(self, Z, side):
-        return kcca_project(self, Z, side)
-
-
 def _gram(model_kernel, A, B, sigma):
     if model_kernel == "gaussian":
         return gaussian_kernel(A, B, sigma)
     if model_kernel == "linear":
         return linear_kernel(A, B)
     raise ValueError(f"unknown kernel {model_kernel!r}")
+
+
+@dataclass
+class KernelMap:
+    """One view's feature map: centered kernel columns against ``train``."""
+
+    train: np.ndarray
+    kernel: str
+    sigma: float
+    mu: np.ndarray
+    grand: float
+
+    @classmethod
+    def fit(cls, X, kernel, sigma):
+        """The map fitted on X, and the centered Gram of X under it."""
+        K = _gram(kernel, X, X, sigma)
+        fmap = cls(X.copy(), kernel, sigma, K.mean(axis=1), float(K.mean()))
+        return fmap, _center_columns(K, fmap.mu, fmap.grand)
+
+    @property
+    def input_dim(self):
+        return self.train.shape[0]
+
+    def __call__(self, Z):
+        K = _gram(self.kernel, self.train, Z, self.sigma)
+        return _center_columns(K, self.mu, self.grand)
+
+
+@dataclass
+class KernelCcaModel(MappedCcaModel):
+    """Dual-space model: a KernelMap per view plus the linear head."""
+
+    map_x: KernelMap
+    map_y: KernelMap
+    head: LinearCcaModel
+
+    @property
+    def feature_maps(self):
+        return self.map_x, self.map_y
+
+    @property
+    def sigma_x(self):
+        return self.map_x.sigma
+
+    @property
+    def sigma_y(self):
+        return self.map_y.sigma
 
 
 def fit_kcca(
@@ -129,14 +138,8 @@ def fit_kcca(
         sigma_y = float(sigma_y) if sigma_y is not None else median_heuristic_bandwidth(Y)
     else:
         sigma_x = sigma_y = 0.0
-    Kx = _gram(kernel, X, X, sigma_x)
-    Ky = _gram(kernel, Y, Y, sigma_y)
-    mu_x = Kx.mean(axis=1)
-    mu_y = Ky.mean(axis=1)
-    grand_x = float(Kx.mean())
-    grand_y = float(Ky.mean())
-    Rx = _center_columns(Kx, mu_x, grand_x)
-    Ry = _center_columns(Ky, mu_y, grand_y)
+    map_x, Rx = KernelMap.fit(X, kernel, sigma_x)
+    map_y, Ry = KernelMap.fit(Y, kernel, sigma_y)
     try:
         head = fit_cca(Rx, Ry, k, r, groups=groups, beta=beta, group_weighting=group_weighting)
     except NotPositiveDefiniteError as e:
@@ -145,41 +148,4 @@ def fit_kcca(
             "increase r or widen sigma",
             eigenvalue=e.eigenvalue,
         ) from e
-    return KernelCcaModel(
-        Xtrain=X.copy(),
-        Ytrain=Y.copy(),
-        kernel=kernel,
-        sigma_x=sigma_x,
-        sigma_y=sigma_y,
-        mu_x=mu_x,
-        mu_y=mu_y,
-        grand_x=grand_x,
-        grand_y=grand_y,
-        head=head,
-        r=float(r),
-        beta=float(beta if groups is not None else 1.0),
-    )
-
-
-def kcca_project(model, Z, side):
-    """Canonical scores for new points on one side.
-
-    Z is (d, m); returns (k, m). Projecting the training batch reproduces
-    training-time scores exactly because the same centering runs here.
-    """
-    if side not in ("image", "text"):
-        raise ValueError(f"side must be 'image' or 'text', got {side!r}")
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    train, sigma, mu, grand = (
-        (model.Xtrain, model.sigma_x, model.mu_x, model.grand_x)
-        if side == "image"
-        else (model.Ytrain, model.sigma_y, model.mu_y, model.grand_y)
-    )
-    if Z.shape[0] != train.shape[0]:
-        raise ValueError(
-            f"{side} side expects {train.shape[0]}-dim vectors, got {Z.shape[0]}"
-        )
-    K = _gram(model.kernel, train, Z, sigma)
-    return cca_transform(model.head, _center_columns(K, mu, grand), side)
+    return KernelCcaModel(map_x=map_x, map_y=map_y, head=head)

@@ -13,7 +13,7 @@ import numpy as np
 from . import dataio
 from .cca import LinearCcaModel
 from .dcca import DeepCcaModel
-from .kcca import KernelCcaModel
+from .kcca import KernelCcaModel, KernelMap
 from .neural import Layer, MlpNetwork, Standardizer, TrainConfig
 from .retrieval import VenueIndex
 
@@ -88,79 +88,93 @@ def _net_from(layer_meta, blocks, prefix):
     return MlpNetwork(std, layers)
 
 
+def _kernel_parts(model):
+    map_x, map_y, head = model.map_x, model.map_y, model.head
+    meta = {
+        "kernel": map_x.kernel,
+        "sigma_x": map_x.sigma,
+        "sigma_y": map_y.sigma,
+        "grand_x": map_x.grand,
+        "grand_y": map_y.grand,
+        # the file format keeps copies of the head's r and beta
+        "r": head.r,
+        "beta": head.beta,
+        **_head_meta(head, "head_"),
+    }
+    blocks = {
+        "Xtrain": map_x.train,
+        "Ytrain": map_y.train,
+        "mu_x": map_x.mu[None, :],
+        "mu_y": map_y.mu[None, :],
+        **_head_blocks(head, "head_"),
+    }
+    return meta, blocks
+
+
+def _kernel_map_from(meta, blocks, side):
+    return KernelMap(
+        train=blocks[f"{side.upper()}train"],
+        kernel=meta["kernel"],
+        sigma=float(meta[f"sigma_{side}"]),
+        mu=blocks[f"mu_{side}"][0],
+        grand=float(meta[f"grand_{side}"]),
+    )
+
+
+def _deep_parts(model):
+    config = model.config
+    meta = {
+        "config": asdict(config) if not isinstance(config, dict) else config,
+        "net_x_layers": _net_meta(model.net_x),
+        "net_y_layers": _net_meta(model.net_y),
+        **_head_meta(model.head, "head_"),
+    }
+    blocks = {
+        **_net_blocks(model.net_x, "net_x_"),
+        **_net_blocks(model.net_y, "net_y_"),
+        **_head_blocks(model.head, "head_"),
+        "history_objective": model.history_objective[None, :],
+        "history_epoch": model.history_epoch[None, :].astype(float),
+    }
+    return meta, blocks
+
+
 def save_model(model, path):
     if isinstance(model, LinearCcaModel):
-        dataio.write_container(path, KIND_LINEAR, _head_meta(model), _head_blocks(model))
+        kind, meta, blocks = KIND_LINEAR, _head_meta(model), _head_blocks(model)
     elif isinstance(model, KernelCcaModel):
-        meta = _head_meta(model.head, "head_")
-        meta.update(
-            {
-                "kernel": model.kernel,
-                "sigma_x": model.sigma_x,
-                "sigma_y": model.sigma_y,
-                "grand_x": model.grand_x,
-                "grand_y": model.grand_y,
-                "r": model.r,
-                "beta": model.beta,
-            }
-        )
-        blocks = {
-            "Xtrain": model.Xtrain,
-            "Ytrain": model.Ytrain,
-            "mu_x": model.mu_x[None, :],
-            "mu_y": model.mu_y[None, :],
-        }
-        blocks.update(_head_blocks(model.head, "head_"))
-        dataio.write_container(path, KIND_KERNEL, meta, blocks)
+        kind, (meta, blocks) = KIND_KERNEL, _kernel_parts(model)
     elif isinstance(model, DeepCcaModel):
-        config = model.config
-        meta = {
-            "config": asdict(config) if not isinstance(config, dict) else config,
-            "net_x_layers": _net_meta(model.net_x),
-            "net_y_layers": _net_meta(model.net_y),
-        }
-        meta.update(_head_meta(model.head, "head_"))
-        blocks = {}
-        blocks.update(_net_blocks(model.net_x, "net_x_"))
-        blocks.update(_net_blocks(model.net_y, "net_y_"))
-        blocks.update(_head_blocks(model.head, "head_"))
-        blocks["history_objective"] = model.history_objective[None, :]
-        blocks["history_epoch"] = model.history_epoch[None, :].astype(float)
-        dataio.write_container(path, KIND_DEEP, meta, blocks)
+        kind, (meta, blocks) = KIND_DEEP, _deep_parts(model)
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    dataio.write_container(path, kind, meta, blocks)
 
 
 def load_model(path):
     kind, meta, blocks = dataio.read_container(path)
-    if kind == KIND_LINEAR:
-        return _head_from(meta, blocks)
-    if kind == KIND_KERNEL:
-        return KernelCcaModel(
-            Xtrain=blocks["Xtrain"],
-            Ytrain=blocks["Ytrain"],
-            kernel=meta["kernel"],
-            sigma_x=float(meta["sigma_x"]),
-            sigma_y=float(meta["sigma_y"]),
-            mu_x=blocks["mu_x"][0],
-            mu_y=blocks["mu_y"][0],
-            grand_x=float(meta["grand_x"]),
-            grand_y=float(meta["grand_y"]),
-            head=_head_from(meta, blocks, "head_"),
-            r=float(meta["r"]),
-            beta=float(meta["beta"]),
-        )
-    if kind == KIND_DEEP:
-        cfg = dict(meta["config"])
-        cfg["hidden_sizes"] = tuple(cfg["hidden_sizes"])
-        return DeepCcaModel(
-            net_x=_net_from(meta["net_x_layers"], blocks, "net_x_"),
-            net_y=_net_from(meta["net_y_layers"], blocks, "net_y_"),
-            head=_head_from(meta, blocks, "head_"),
-            config=TrainConfig(**cfg),
-            history_objective=blocks["history_objective"][0],
-            history_epoch=blocks["history_epoch"][0].astype(int),
-        )
+    try:
+        if kind == KIND_LINEAR:
+            return _head_from(meta, blocks)
+        if kind == KIND_KERNEL:
+            return KernelCcaModel(
+                map_x=_kernel_map_from(meta, blocks, "x"),
+                map_y=_kernel_map_from(meta, blocks, "y"),
+                head=_head_from(meta, blocks, "head_"),
+            )
+        if kind == KIND_DEEP:
+            cfg = dict(meta["config"])
+            cfg["hidden_sizes"] = tuple(cfg["hidden_sizes"])
+            return DeepCcaModel(
+                net_x=_net_from(meta["net_x_layers"], blocks, "net_x_"),
+                net_y=_net_from(meta["net_y_layers"], blocks, "net_y_"),
+                head=_head_from(meta, blocks, "head_"),
+                config=TrainConfig(**cfg),
+                history_objective=blocks["history_objective"][0],
+                history_epoch=blocks["history_epoch"][0].astype(int),
+            )
+    except KeyError as e:
+        raise dataio.DatasetError(f"{path}: {kind} file has no {e.args[0]!r} entry") from None
     raise dataio.DatasetError(f"{path}: unknown model kind {kind!r}")
 
 

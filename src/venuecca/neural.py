@@ -95,6 +95,10 @@ class MlpNetwork:
     def output_dim(self):
         return self.layers[-1].W.shape[0]
 
+    def __call__(self, X):
+        """Eval-mode output: the network as a deep model's feature map."""
+        return mlp_forward(self, X, mode="eval").output
+
     def parameters(self):
         """Flat parameter list [W0, b0, W1, b1, ...]; arrays are live views."""
         out = []

@@ -187,12 +187,12 @@ def test_criterion_02_whitening_constraints_all_methods(report):
         worst[method] = deviation(model, X, Y)
     for method, beta, g in (("kcca", 1.0, None), ("c-kcca", 0.3, groups)):
         model = fit_kcca(X, Y, k, r, groups=g, beta=beta)
-        Kx = gaussian_kernel(model.Xtrain, model.Xtrain, model.sigma_x)
-        Ky = gaussian_kernel(model.Ytrain, model.Ytrain, model.sigma_y)
+        Kx = gaussian_kernel(model.map_x.train, model.map_x.train, model.sigma_x)
+        Ky = gaussian_kernel(model.map_y.train, model.map_y.train, model.sigma_y)
         worst[method] = deviation(
             model.head,
-            _center_columns(Kx, model.mu_x, model.grand_x),
-            _center_columns(Ky, model.mu_y, model.grand_y),
+            _center_columns(Kx, model.map_x.mu, model.map_x.grand),
+            _center_columns(Ky, model.map_y.mu, model.map_y.grand),
         )
     for method, beta in (("dcca", 1.0), ("c-dcca", 0.3)):
         cfg = TrainConfig(**{**tc.__dict__, "beta": beta})

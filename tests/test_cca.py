@@ -234,16 +234,16 @@ class TestCcaTransform:
         X = rng.standard_normal((4, 40))
         Y = rng.standard_normal((3, 40))
         model = fit_cca(X, Y, k=2, r=1e-4)
-        npt.assert_allclose(model.transform(model.mean_x[:, None], "image"), 0.0, atol=1e-12)
-        npt.assert_allclose(model.transform(model.mean_y[:, None], "text"), 0.0, atol=1e-12)
+        npt.assert_allclose(model.project(model.mean_x[:, None], "image"), 0.0, atol=1e-12)
+        npt.assert_allclose(model.project(model.mean_y[:, None], "text"), 0.0, atol=1e-12)
 
     def test_transformed_covariance_is_diag_rho(self):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((5, 120))
         Y = 0.7 * X[:4] + 0.3 * rng.standard_normal((4, 120))
         model = fit_cca(X, Y, k=3, r=1e-6)
-        U = model.transform(X, "image")
-        V = model.transform(Y, "text")
+        U = model.project(X, "image")
+        V = model.project(Y, "text")
         C = U @ V.T / (120 - 1)
         npt.assert_allclose(C, np.diag(model.rho), atol=1e-6)
 
@@ -252,12 +252,12 @@ class TestCcaTransform:
         X = rng.standard_normal((12, 60))
         Y = rng.standard_normal((11, 60))
         model = fit_cca(X, Y, k=10, r=1e-4)
-        assert model.transform(X, "image").shape == (10, 60)
+        assert model.project(X, "image").shape == (10, 60)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(15)
         model = fit_cca(rng.standard_normal((4, 30)), rng.standard_normal((3, 30)), k=2, r=1e-4)
         with pytest.raises(ValueError, match="expects"):
-            model.transform(np.zeros((5, 2)), "image")
+            model.project(np.zeros((5, 2)), "image")
         with pytest.raises(ValueError, match="side"):
             cca_transform(model, np.zeros((4, 2)), "photo")

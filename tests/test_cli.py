@@ -253,6 +253,20 @@ class TestEval:
         match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
         assert not mismatch and not errors
 
+    @pytest.mark.parametrize("flag,value", [("--beta", "0.3"), ("--sigma", "2")])
+    def test_saved_model_rejects_training_flags(self, dataset, tmp_path, capsys, flag, value):
+        model_path = tmp_path / "m.vcca"
+        train(dataset, model_path, "c-cca")
+        capsys.readouterr()
+        rc = main(
+            ["eval", "--manifest", str(dataset), "--model", str(model_path),
+             flag, value, "--out", str(tmp_path / "ev")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert flag in err and "--model" in err
+        assert "cca" not in err.replace("vcca", "")
+
     def test_needs_model_or_method(self, dataset, tmp_path, capsys):
         rc = main(["eval", "--manifest", str(dataset), "--out", str(tmp_path / "e")])
         assert rc == 1
@@ -285,6 +299,19 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for cmd in ("synth", "train", "index", "retrieve", "eval"):
             assert cmd in proc.stdout
+
+    def test_truncated_model_file_is_an_error_not_a_traceback(self, dataset, tmp_path):
+        model_path = tmp_path / "short.vcca"
+        model_path.write_bytes(b"VCCAPKG1\x05")
+        proc = subprocess.run(
+            [sys.executable, "-m", "venuecca.cli", "index", "--model", str(model_path),
+             "--manifest", str(dataset), "--out", str(tmp_path / "x.vidx")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "short.vcca" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_method_rejected(self, dataset, tmp_path):
         with pytest.raises(SystemExit):

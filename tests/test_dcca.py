@@ -4,7 +4,7 @@ import pytest
 
 from venuecca.cca import GroupIndex
 from venuecca.dataio import PairedDataset
-from venuecca.dcca import cca_objective, dcca_project, stratified_batches, train_dcca
+from venuecca.dcca import cca_objective, stratified_batches, train_dcca
 from venuecca.neural import TrainConfig
 
 
@@ -94,6 +94,18 @@ class TestCcaObjective:
         assert v1 == pytest.approx(v2, abs=1e-10)
         npt.assert_allclose(gx1, gx2, atol=1e-10)
         npt.assert_allclose(gy1, gy2, atol=1e-10)
+
+    def test_beta_one_equal_weighting_is_plain(self):
+        # at beta=1 both group weightings give the plain 1/n estimate
+        rng = np.random.default_rng(6)
+        Hx = rng.standard_normal((3, 40))
+        Hy = 0.5 * Hx + rng.standard_normal((3, 40))
+        groups = GroupIndex.from_labels([1] * 5 + [2] * 10 + [3] * 25)
+        v1, gx1, gy1 = cca_objective(Hx, Hy)
+        v2, gx2, gy2 = cca_objective(Hx, Hy, groups, beta=1.0, group_weighting="equal")
+        assert v2 == pytest.approx(v1, abs=1e-12)
+        npt.assert_allclose(gx2, gx1, atol=1e-12)
+        npt.assert_allclose(gy2, gy1, atol=1e-12)
 
     def test_sample_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -214,6 +226,13 @@ class TestTrainDcca:
             model = train_dcca(train, cfg)
         assert model.head.beta == 1.0
 
+    def test_beta_one_history_ignores_group_weighting(self):
+        train = make_dataset(19, n=60, n_cats=3)
+        train.categories[:] = np.repeat([1, 2, 3], [6, 14, 40])
+        size = train_dcca(train, small_config(group_weighting="size"))
+        equal = train_dcca(train, small_config(group_weighting="equal"))
+        npt.assert_array_equal(equal.history_objective, size.history_objective)
+
     def test_batch_too_small_for_k(self):
         train = make_dataset(14, n=30)
         with pytest.raises(ValueError, match="batch_size"):
@@ -235,7 +254,7 @@ class TestDccaProject:
 
         U = model.project(train.X, "image")
         H = mlp_forward(model.net_x, train.X, mode="eval").output
-        npt.assert_allclose(U, model.head.transform(H, "image"), atol=1e-12)
+        npt.assert_allclose(U, model.head.project(H, "image"), atol=1e-12)
         assert U.shape == (model.k, 60)
 
     def test_train_cross_covariance_is_diag_rho(self):
@@ -249,7 +268,7 @@ class TestDccaProject:
     def test_single_column_and_side_validation(self):
         train = make_dataset(18)
         model = train_dcca(train, small_config())
-        one = dcca_project(model, train.X[:, 0], "image")
+        one = model.project(train.X[:, 0], "image")
         assert one.shape == (model.k, 1)
         with pytest.raises(ValueError, match="side"):
-            dcca_project(model, train.X, "photo")
+            model.project(train.X, "photo")

@@ -6,7 +6,6 @@ from venuecca.cca import GroupIndex, fit_cca
 from venuecca.kcca import (
     fit_kcca,
     gaussian_kernel,
-    kcca_project,
     linear_kernel,
     median_heuristic_bandwidth,
 )
@@ -92,7 +91,7 @@ class TestFitKcca:
         Y = rng.standard_normal((2, 60))
         groups = GroupIndex.from_labels(1 + rng.integers(0, 4, 60))
         model = fit_kcca(X, Y, k=2, r=1e-3, groups=groups, beta=0.3)
-        assert model.beta == 0.3
+        assert model.head.beta == 0.3
         assert model.rho.shape == (2,)
 
     def test_sigma_echoed_and_median_default(self):
@@ -126,11 +125,11 @@ class TestKccaProject:
         X, Y, model = self.make_model()
         U = model.project(X, "image")
         V = model.project(Y, "text")
-        Kx = gaussian_kernel(model.Xtrain, model.Xtrain, model.sigma_x)
+        Kx = gaussian_kernel(model.map_x.train, model.map_x.train, model.sigma_x)
         from venuecca.kcca import _center_columns
 
-        Kxc = _center_columns(Kx, model.mu_x, model.grand_x)
-        npt.assert_allclose(U, model.head.transform(Kxc, "image"), atol=1e-8)
+        Kxc = _center_columns(Kx, model.map_x.mu, model.map_x.grand)
+        npt.assert_allclose(U, model.head.project(Kxc, "image"), atol=1e-8)
         assert U.shape == V.shape == (2, 50)
 
     def test_train_cross_covariance_is_diag_rho(self):
@@ -148,16 +147,16 @@ class TestKccaProject:
         X, Y, model = self.make_model(seed=12)
         from venuecca.kcca import _center_columns
 
-        K = gaussian_kernel(model.Xtrain, model.Xtrain, model.sigma_x)
-        Kc = _center_columns(K, model.mu_x, model.grand_x)
+        K = gaussian_kernel(model.map_x.train, model.map_x.train, model.sigma_x)
+        Kc = _center_columns(K, model.map_x.mu, model.map_x.grand)
         n = K.shape[0]
         assert np.abs(Kc.sum(axis=0)).max() < 1e-8 * n
 
     def test_new_point_projection_shape(self):
         X, Y, model = self.make_model(seed=13)
         Z = np.random.default_rng(99).standard_normal((3, 7))
-        assert kcca_project(model, Z, "image").shape == (2, 7)
-        one = kcca_project(model, X[:, 0], "image")
+        assert model.project(Z, "image").shape == (2, 7)
+        one = model.project(X[:, 0], "image")
         assert one.shape == (2, 1)
 
     def test_side_and_dim_validation(self):

@@ -1,9 +1,15 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from venuecca.cca import fit_cca
-from venuecca.dataio import DatasetError, PairedDataset
+from venuecca.dataio import DatasetError, PairedDataset, read_container, write_container
 from venuecca.dcca import train_dcca
 from venuecca.kcca import fit_kcca
 from venuecca.model_io import load_index, load_model, save_index, save_model
@@ -38,7 +44,7 @@ def test_kernel_model_round_trip(data, tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.sigma_x == model.sigma_x
-    assert loaded.kernel == model.kernel
+    assert loaded.map_x.kernel == model.map_x.kernel
     Z = np.random.default_rng(1).standard_normal((5, 7))
     npt.assert_array_equal(loaded.project(Z, "image"), model.project(Z, "image"))
     npt.assert_array_equal(loaded.rho, model.rho)
@@ -136,3 +142,62 @@ def test_corrupt_file_rejected(tmp_path):
 def test_unserializable_type_rejected(tmp_path):
     with pytest.raises(TypeError, match="serialize"):
         save_model(object(), tmp_path / "x.vcca")
+
+
+GOLDEN = Path(__file__).parent / "data"
+GOLDEN_METHODS = ("cca", "c-cca", "kcca", "c-kcca", "dcca", "c-dcca")
+
+
+@pytest.mark.parametrize("method", GOLDEN_METHODS)
+def test_files_of_earlier_versions_load(method, tmp_path):
+    # tests/data holds models written by venuecca 0.1.0 before its models
+    # became a feature map per view plus a linear head, with the
+    # projections that version computed on a fixed batch
+    stored = np.load(GOLDEN / "projections.npz")
+    path = GOLDEN / f"{method}.vcca"
+    model = load_model(path)
+    for side, batch in (("image", "batch_image"), ("text", "batch_text")):
+        npt.assert_array_equal(model.project(stored[batch], side), stored[f"{method}_{side}"])
+    again = tmp_path / "again.vcca"
+    save_model(model, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("method", ("cca", "kcca", "dcca"))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_model_raises_dataset_error(method, data):
+    raw = (GOLDEN / f"{method}.vcca").read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cut.vcca"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DatasetError, match="cut.vcca"):
+            load_model(path)
+
+
+@pytest.mark.parametrize("key", ["beta", "config", "kernel"])
+def test_missing_meta_key_is_named(key, tmp_path):
+    method = {"beta": "cca", "config": "dcca", "kernel": "kcca"}[key]
+    kind, meta, blocks = read_container(GOLDEN / f"{method}.vcca")
+    del meta[key]
+    path = tmp_path / "m.vcca"
+    write_container(path, kind, meta, blocks)
+    with pytest.raises(DatasetError, match=f"m.vcca.*'{key}'"):
+        load_model(path)
+
+
+def test_missing_block_is_named(tmp_path):
+    kind, meta, blocks = read_container(GOLDEN / "c-cca.vcca")
+    del blocks["mean_x"]
+    path = tmp_path / "m.vcca"
+    write_container(path, kind, meta, blocks)
+    with pytest.raises(DatasetError, match="'mean_x'"):
+        load_model(path)
+
+
+def test_header_that_is_not_json(tmp_path):
+    path = tmp_path / "m.vcca"
+    path.write_bytes(b"VCCAPKG1" + struct.pack("<I", 3) + b"{x}")
+    with pytest.raises(DatasetError, match="m.vcca.*JSON"):
+        load_model(path)
