@@ -123,14 +123,6 @@ def read_feature_file(path):
     return read_matrix(path)
 
 
-def write_feature_file(path, a):
-    path = Path(path)
-    if path.suffix == ".csv":
-        write_matrix_csv(path, a)
-    else:
-        write_matrix(path, a)
-
-
 # ---------------------------------------------------------------------------
 # container files (models, indexes)
 
@@ -157,6 +149,19 @@ def write_container(path, kind, meta, blocks):
             fh.write(a.tobytes(order="C"))
 
 
+def _container_header_ok(header):
+    """A dict with kind, a meta dict and [name, rows, cols] block shapes."""
+    if not (isinstance(header, dict) and {"kind", "meta", "blocks"} <= header.keys()):
+        return False
+    return isinstance(header["meta"], dict) and isinstance(header["blocks"], list) and all(
+        isinstance(b, list)
+        and len(b) == 3
+        and isinstance(b[0], str)
+        and all(isinstance(d, int) and d >= 0 for d in b[1:])
+        for b in header["blocks"]
+    )
+
+
 def read_container(path):
     with open(path, "rb") as fh:
         magic = fh.read(len(CONTAINER_MAGIC))
@@ -168,6 +173,8 @@ def read_container(path):
             header = json.loads(payload.decode("utf-8"))
         except ValueError as e:  # bad UTF-8 or JSON
             raise DatasetError(f"{path}: container header is not valid JSON ({e})") from None
+        if not _container_header_ok(header):
+            raise DatasetError(f"{path}: container header has the wrong shape")
         blocks = {}
         for name, rows, cols in header["blocks"]:
             raw = _read_exactly(fh, rows * cols * 8, path, f"block {name!r}")

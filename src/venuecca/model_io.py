@@ -192,9 +192,12 @@ def load_index(path):
     kind, meta, blocks = dataio.read_container(path)
     if kind != KIND_INDEX:
         raise dataio.DatasetError(f"{path}: not a venue index (kind {kind!r})")
-    return VenueIndex(
-        venue_ids=list(meta["venue_ids"]),
-        categories=blocks["categories"][0].astype(int),
-        coords=blocks["coords"],
-        vectors=blocks["vectors"],
-    )
+    try:
+        return VenueIndex(
+            venue_ids=list(meta["venue_ids"]),
+            categories=blocks["categories"][0].astype(int),
+            coords=blocks["coords"],
+            vectors=blocks["vectors"],
+        )
+    except KeyError as e:
+        raise dataio.DatasetError(f"{path}: {kind} file has no {e.args[0]!r} entry") from None

@@ -3,9 +3,12 @@
 A venue database holds one canonical-space vector per venue, projected
 from its text feature. Queries are photos: project, score by cosine
 against every candidate (optionally only those within a haversine radius
-of the query position), sort descending. Metrics: MRR1 for exact-venue
-search, AP/MAP and recall-precision curves for category-level search
-(venues sharing the query's category count as relevant).
+of the query position), then order by score descending with ties broken
+by venue_id ascending. The tie data is the index's ``id_rank``, each
+column's position in venue_id order, computed once when the index is
+built. Metrics: MRR1 for exact-venue search, AP/MAP and recall-precision
+curves for category-level search (venues sharing the query's category
+count as relevant).
 """
 
 import json
@@ -21,18 +24,21 @@ from .dataio import haversine_km
 class VenueIndex:
     """Venue database: ids, categories, positions, canonical text vectors.
 
-    vectors is (k, n_venues), column j belongs to venue_ids[j].
+    vectors is (k, n_venues), column j belongs to venue_ids[j]; id_rank[j]
+    is that column's position in venue_id order, the ranking's tie key.
     """
 
     venue_ids: list
     categories: np.ndarray
     coords: np.ndarray
     vectors: np.ndarray
+    id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.venue_ids)
         if len(set(self.venue_ids)) != n:
             raise ValueError("duplicate venue_id in index")
+        self.id_rank = np.argsort(np.argsort(np.array(self.venue_ids, dtype=object)))
         self.categories = np.asarray(self.categories, dtype=int)
         self.coords = np.asarray(self.coords, dtype=float)
         self.vectors = np.asarray(self.vectors, dtype=float)
@@ -70,12 +76,9 @@ class RankList:
 
 def build_index(model, venues):
     """Project every venue's text feature through the model's text side."""
-    ids = [v.venue_id for v in venues]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate venue_id among venues")
     Y = np.stack([v.text for v in venues], axis=1)
     return VenueIndex(
-        venue_ids=ids,
+        venue_ids=[v.venue_id for v in venues],
         categories=np.array([v.category for v in venues], dtype=int),
         coords=np.array([[v.lat, v.lon] for v in venues], dtype=float),
         vectors=model.project(Y, "text"),
@@ -88,11 +91,7 @@ def score(u, v):
     v = np.asarray(v, dtype=float).reshape(-1)
     if u.shape != v.shape:
         raise ValueError("score expects vectors of one dimensionality")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v / (nu * nv))
+    return float(_cosine_scores(u, v[:, None])[0])
 
 
 def _cosine_scores(q, V):
@@ -121,41 +120,32 @@ def rank_venues(
 
     geo, when given, admits only venues within geo.radius_km of
     (geo.lat, geo.lon); if nothing survives the result is an empty list
-    flagged empty_after_filter. Ties break by venue_id ascending so
-    output is deterministic. weight_by_rho scales canonical components
-    by the model's correlations before the cosine.
+    flagged empty_after_filter. Venues are ordered by score descending,
+    ties by venue_id ascending (the index's id_rank), so output is
+    deterministic. weight_by_rho scales canonical components by the
+    model's correlations before the cosine.
     """
     q = model.project(np.asarray(photo, dtype=float), "image")[:, 0]
     keep = np.arange(index.n)
     if geo is not None:
         dists = haversine_km(geo.lat, geo.lon, index.coords[:, 0], index.coords[:, 1])
         keep = np.flatnonzero(dists <= geo.radius_km)
-        if keep.size == 0:
-            return RankList(
-                query_id=query_id,
-                venue_ids=[],
-                scores=np.empty(0),
-                categories=np.empty(0, dtype=int),
-                true_venue_id=true_venue_id,
-                true_category=true_category,
-                empty_after_filter=True,
-            )
     V = index.vectors[:, keep]
-    qv = q
     if weight_by_rho:
         w = np.asarray(model.rho, dtype=float)
-        qv = q * w
+        q = q * w
         V = V * w[:, None]
-    scores = _cosine_scores(qv, V)
-    order = sorted(range(len(keep)), key=lambda j: (-scores[j], index.venue_ids[keep[j]]))
-    ranked = keep[np.array(order, dtype=int)]
+    scores = _cosine_scores(q, V)
+    order = np.lexsort((index.id_rank[keep], -scores))
+    ranked = keep[order]
     return RankList(
         query_id=query_id,
         venue_ids=[index.venue_ids[j] for j in ranked],
-        scores=scores[np.array(order, dtype=int)],
+        scores=scores[order],
         categories=index.categories[ranked],
         true_venue_id=true_venue_id,
         true_category=true_category,
+        empty_after_filter=geo is not None and keep.size == 0,
     )
 
 
@@ -174,21 +164,38 @@ def mrr1(ranklists):
     return total / len(ranklists)
 
 
+def _hits(ranklist):
+    """hits[c] counts same-category venues among the top c, c = 0..pool size."""
+    if ranklist.true_category is None:
+        raise ValueError("ranklist lacks category truth")
+    return np.concatenate(([0], np.cumsum(ranklist.categories == ranklist.true_category)))
+
+
 def average_precision(ranklist):
     """AP with same-category relevance; None when the pool has no relevant.
 
     The denominator counts every relevant venue in the (possibly
     geo-filtered) candidate pool, so truncation cannot inflate the score.
     """
-    if ranklist.true_category is None:
-        raise ValueError("ranklist lacks category truth")
-    rel = ranklist.categories == ranklist.true_category
-    n_rel = int(rel.sum())
+    hits = _hits(ranklist)
+    n_rel = int(hits[-1])
     if n_rel == 0:
         return None
-    hits = np.cumsum(rel)
-    ranks = np.flatnonzero(rel) + 1
-    return float((hits[ranks - 1] / ranks).sum() / n_rel)
+    ranks = np.flatnonzero(np.diff(hits)) + 1
+    return float((hits[ranks] / ranks).sum() / n_rel)
+
+
+def _mean_of_present(aps):
+    """(mean, n_skipped) over per-query APs, where None marks a skipped query."""
+    if not aps:
+        raise ValueError("MAP over zero queries is undefined")
+    values = [ap for ap in aps if ap is not None]
+    skipped = len(aps) - len(values)
+    if skipped:
+        warnings.warn(f"{skipped} queries had no relevant venue in the pool; skipped")
+    if not values:
+        raise ValueError("every query was skipped; MAP is undefined")
+    return float(np.mean(values)), skipped
 
 
 def mean_average_precision(ranklists):
@@ -196,21 +203,7 @@ def mean_average_precision(ranklists):
 
     Returns (map_value, n_skipped) and warns when anything was skipped.
     """
-    if not ranklists:
-        raise ValueError("MAP over zero queries is undefined")
-    values = []
-    skipped = 0
-    for rl in ranklists:
-        ap = average_precision(rl)
-        if ap is None:
-            skipped += 1
-        else:
-            values.append(ap)
-    if skipped:
-        warnings.warn(f"{skipped} queries had no relevant venue in the pool; skipped")
-    if not values:
-        raise ValueError("every query was skipped; MAP is undefined")
-    return float(np.mean(values)), skipped
+    return _mean_of_present([average_precision(rl) for rl in ranklists])
 
 
 def recall_precision_curve(ranklists, cutoffs):
@@ -221,27 +214,20 @@ def recall_precision_curve(ranklists, cutoffs):
     venue are skipped. Returns a list of (recall, precision) aligned with
     cutoffs.
     """
-    cutoffs = [int(c) for c in cutoffs]
-    if any(c < 1 for c in cutoffs) or any(
-        b <= a for a, b in zip(cutoffs, cutoffs[1:])
-    ):
+    cutoffs = np.array([int(c) for c in cutoffs], dtype=int)
+    if np.any(cutoffs < 1) or np.any(np.diff(cutoffs) <= 0):
         raise ValueError("cutoffs must be ascending positive integers")
     per_query = []
     clamped = False
     for rl in ranklists:
-        rel = rl.categories == rl.true_category
-        n_rel = int(rel.sum())
-        if n_rel == 0:
+        hits = _hits(rl)
+        if hits[-1] == 0:
             continue
-        hits = np.cumsum(rel)
-        row = []
-        for c in cutoffs:
-            if c > len(rl.venue_ids):
-                clamped = True
-            c_eff = min(c, len(rl.venue_ids))
-            h = hits[c_eff - 1] if c_eff else 0
-            row.append((h / n_rel, h / c_eff if c_eff else 0.0))
-        per_query.append(row)
+        pool = hits.size - 1
+        clamped = clamped or bool(np.any(cutoffs > pool))
+        c_eff = np.minimum(cutoffs, pool)
+        h = hits[c_eff]
+        per_query.append(np.stack([h / hits[-1], h / c_eff], axis=1))
     if clamped:
         warnings.warn("some cutoffs exceed a candidate pool; clamped to pool size")
     if not per_query:
@@ -328,13 +314,13 @@ def evaluate(
                 weight_by_rho=weight_by_rho,
             )
         )
-    map_value, skipped = mean_average_precision(ranklists)
+    aps = [average_precision(rl) for rl in ranklists]
+    map_value, skipped = _mean_of_present(aps)
     per_cat = {}
     for c in sorted(set(int(c) for c in test.categories)):
-        sub = [rl for rl in ranklists if rl.true_category == c]
-        aps = [ap for ap in (average_precision(rl) for rl in sub) if ap is not None]
-        if aps:
-            per_cat[c] = float(np.mean(aps))
+        sub = [ap for rl, ap in zip(ranklists, aps) if rl.true_category == c and ap is not None]
+        if sub:
+            per_cat[c] = float(np.mean(sub))
     return EvalReport(
         mrr1=mrr1(ranklists),
         map=map_value,

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import struct
 import subprocess
 import sys
 
@@ -311,6 +312,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "short.vcca" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_model_header_of_wrong_shape_is_an_error_not_a_traceback(self, dataset, tmp_path):
+        model_path = tmp_path / "empty-header.vcca"
+        model_path.write_bytes(b"VCCAPKG1" + struct.pack("<I", 2) + b"{}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "venuecca.cli", "index", "--model", str(model_path),
+             "--manifest", str(dataset), "--out", str(tmp_path / "x.vidx")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "empty-header.vcca" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_unknown_method_rejected(self, dataset, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -12,7 +13,7 @@ from venuecca.cca import fit_cca
 from venuecca.dataio import DatasetError, PairedDataset, read_container, write_container
 from venuecca.dcca import train_dcca
 from venuecca.kcca import fit_kcca
-from venuecca.model_io import load_index, load_model, save_index, save_model
+from venuecca.model_io import KIND_LINEAR, load_index, load_model, save_index, save_model
 from venuecca.neural import TrainConfig
 from venuecca.retrieval import VenueIndex
 
@@ -201,3 +202,35 @@ def test_header_that_is_not_json(tmp_path):
     path.write_bytes(b"VCCAPKG1" + struct.pack("<I", 3) + b"{x}")
     with pytest.raises(DatasetError, match="m.vcca.*JSON"):
         load_model(path)
+
+
+WRONG_SHAPE_HEADERS = {
+    "empty-object": {},
+    "not-an-object": [1],
+    "blocks-not-a-list": {"kind": KIND_LINEAR, "meta": {}, "blocks": 5},
+    "block-without-cols": {"kind": KIND_LINEAR, "meta": {}, "blocks": [["Wx", 1]]},
+    "negative-rows": {"kind": KIND_LINEAR, "meta": {}, "blocks": [["Wx", -1, 2]]},
+}
+
+
+def write_raw_container(path, header):
+    payload = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"VCCAPKG1" + struct.pack("<I", len(payload)) + payload + bytes(16))
+
+
+@pytest.mark.parametrize("case", [*WRONG_SHAPE_HEADERS, "index-without-venue-ids"])
+def test_header_of_wrong_shape_is_named(case, tmp_path):
+    path = tmp_path / "m.vcca"
+    if case == "index-without-venue-ids":
+        blocks = {
+            "vectors": np.zeros((2, 1)),
+            "coords": np.zeros((1, 2)),
+            "categories": np.ones((1, 1)),
+        }
+        write_container(path, "venue-index", {}, blocks)
+        with pytest.raises(DatasetError, match="m.vcca.*'venue_ids'"):
+            load_index(path)
+    else:
+        write_raw_container(path, WRONG_SHAPE_HEADERS[case])
+        with pytest.raises(DatasetError, match="m.vcca"):
+            load_model(path)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from venuecca import retrieval
 from venuecca.cca import LinearCcaModel
-from venuecca.dataio import PairedDataset, VenueRecord
+from venuecca.dataio import PairedDataset, VenueRecord, haversine_km
 from venuecca.retrieval import (
     EvalReport,
     GeoFilter,
@@ -280,6 +283,12 @@ class TestRecallPrecisionCurve:
         with pytest.raises(ValueError, match="undefined"):
             recall_precision_curve([ranklist(["a"], [1], true_cat=2)], [1])
 
+    def test_missing_category_truth_raises(self):
+        a = ranklist(["a"], [1])
+        b = ranklist(["x", "y"], [1, 2], true_cat=1)
+        with pytest.raises(ValueError, match="lacks category truth"):
+            recall_precision_curve([a, b], [1, 2])
+
 
 def reference_metrics(ranklists, cutoffs):
     """Plain-loop re-implementation of MRR1 / MAP / curve for cross-checks."""
@@ -349,6 +358,58 @@ class TestAgainstReference:
             assert gp == pytest.approx(rp, abs=1e-12)
 
 
+def key_sort_reference(photo, index, geo, weight_by_rho):
+    """Rank with a plain cosine per venue and sorted(key=(-score, venue_id))."""
+    k = index.vectors.shape[0]
+    w = identity_model(k).rho if weight_by_rho else np.ones(k)
+    q = np.asarray(photo, dtype=float) * w
+    pool = range(index.n)
+    if geo is not None:
+        dists = haversine_km(geo.lat, geo.lon, index.coords[:, 0], index.coords[:, 1])
+        pool = [j for j in pool if dists[j] <= geo.radius_km]
+    rows = []
+    for j in pool:
+        v = index.vectors[:, j] * w
+        denom = math.sqrt(q @ q) * math.sqrt(v @ v)
+        cos = float(q @ v) / denom if denom > 0.0 else 0.0
+        rows.append((cos, index.venue_ids[j], int(index.categories[j])))
+    rows.sort(key=lambda row: (-row[0], row[1]))
+    return rows
+
+
+class TestRankAgainstKeySort:
+    # Small integer vectors make many cosines tie exactly, and rho =
+    # (1, 0.75, 0.5) keeps weighted products exact, so the reference and
+    # the ranker see the same ties. Ids are shuffled against column order.
+    @pytest.mark.parametrize(
+        "case", ["no-filter", "1km", "filter-empties-pool", "weight-by-rho"]
+    )
+    def test_matches_reference(self, case):
+        rng = np.random.default_rng(12)
+        n = 60
+        centre = np.array([10.0, 20.0])
+        index = VenueIndex(
+            venue_ids=[f"v{i:03d}" for i in rng.permutation(n)],
+            categories=rng.integers(1, 4, n),
+            coords=centre + rng.uniform(-0.02, 0.02, (n, 2)),
+            vectors=rng.integers(-1, 2, (3, n)).astype(float),
+        )
+        for qi in range(25):
+            photo = rng.integers(-1, 2, 3).astype(float)
+            geo = None
+            if case == "1km":
+                geo = GeoFilter(*index.coords[qi], radius_km=1.0)
+            elif case == "filter-empties-pool":
+                geo = GeoFilter(-60.0, 100.0, radius_km=1.0)
+            weight = case == "weight-by-rho"
+            got = rank(photo, index, geo=geo, weight_by_rho=weight)
+            ref = key_sort_reference(photo, index, geo, weight)
+            assert got.venue_ids == [r[1] for r in ref]
+            assert got.categories.tolist() == [r[2] for r in ref]
+            npt.assert_allclose(got.scores, [r[0] for r in ref], rtol=0, atol=1e-12)
+            assert got.empty_after_filter == (case == "filter-empties-pool")
+
+
 class TestEvaluate:
     def make_test_set(self, seed=6, n=40, k=3):
         rng = np.random.default_rng(seed)
@@ -388,7 +449,8 @@ class TestEvaluate:
         test = self.make_test_set(seed=8, n=60)
         index = self.make_parallel_index(test)
         plain = evaluate(identity_model(3), index, test)
-        geo = evaluate(identity_model(3), index, test, geo_radius_km=0.5)
+        with pytest.warns(UserWarning, match="clamped to pool size"):
+            geo = evaluate(identity_model(3), index, test, geo_radius_km=0.5)
         assert geo.mrr1 >= plain.mrr1
 
     def test_report_serialization_round_trip(self):
@@ -404,10 +466,23 @@ class TestEvaluate:
         assert lines[0] == "cutoff,recall,precision"
         assert len(lines) == 1 + len(report.cutoffs)
 
+    def test_average_precision_once_per_query(self, monkeypatch):
+        calls = []
+        real = retrieval.average_precision
+        monkeypatch.setattr(
+            retrieval, "average_precision", lambda rl: calls.append(rl) or real(rl)
+        )
+        test = self.make_test_set()
+        evaluate(identity_model(3), self.make_parallel_index(test), test)
+        assert len(calls) == test.n
+
     def test_position_noise_is_seeded(self):
         test = self.make_test_set(seed=10)
         index = self.make_parallel_index(test)
         kwargs = dict(geo_radius_km=1.0, position_noise_km=0.5, seed=3)
-        r1 = evaluate(identity_model(3), index, test, **kwargs)
-        r2 = evaluate(identity_model(3), index, test, **kwargs)
+        with pytest.warns(UserWarning, match="clamped to pool size"), pytest.warns(
+            UserWarning, match="queries had no relevant venue"
+        ):
+            r1 = evaluate(identity_model(3), index, test, **kwargs)
+            r2 = evaluate(identity_model(3), index, test, **kwargs)
         assert r1.mrr1 == r2.mrr1 and r1.map == r2.map
