@@ -71,60 +71,18 @@ class GroupIndex:
         return out
 
 
-def pair_coefficients(groups, beta, group_weighting="size"):
-    """Per-sample weights (a, b) for the blended cross-covariance.
-
-    Written so that C(beta) = beta * sum_i a_i x_i y_i^T
-    + (1 - beta) * sum_i b_i x_i (s_{g(i)} - y_i)^T with s_g the group sum.
-    Size weighting makes every same-venue pair weigh 1/n and every ordered
-    cross pair 1/N2; equal weighting gives each group the same total mass.
-    Singleton groups get b_i = 0 and the cross mass renormalizes over the
-    rest.
-    """
-    n = groups.n_samples
-    a = np.zeros(n)
-    b = np.zeros(n)
-    sizes = groups.sizes()
-    n_groups = len(sizes)
-    cross_groups = {g for g, sz in sizes.items() if sz >= 2}
-    n2_total = sum(sz * (sz - 1) for sz in sizes.values())
-    if beta < 1.0 and not cross_groups:
-        raise NoCrossPairsError(
-            "every group is a singleton: no cross-venue pairs exist for beta < 1"
-        )
-    for g, idx in groups.items():
-        sz = sizes[g]
-        if group_weighting == "size":
-            a[idx] = 1.0 / n
-            if sz >= 2:
-                b[idx] = 1.0 / n2_total
-        else:
-            a[idx] = 1.0 / (n_groups * sz)
-            if sz >= 2:
-                b[idx] = 1.0 / (len(cross_groups) * sz * (sz - 1))
-    return a, b
-
-
-def group_sums(M, groups):
-    """Per-column replacement of each sample by its group sum.
-
-    Returns S with S[:, i] = sum of M columns in i's group, via one
-    segmented accumulation.
-    """
-    S = np.empty_like(M)
-    for _, idx in groups.items():
-        S[:, idx] = M[:, idx].sum(axis=1, keepdims=True)
-    return S
-
-
 def blend_partners(phi, groups, beta, group_weighting="size"):
     """Partner matrix E(phi) of the blended cross-covariance.
 
     C(beta) = phi_x E(phi_y)^T = E(phi_x) phi_y^T for batches whose columns
     are the samples of ``groups``. Column i of E(phi) is
-    beta a_i phi_i + (1 - beta) b_i (s_g(i) - phi_i); a and b are constant
-    within a group, which makes the two forms equal. With no groups or at
-    beta=1 it is phi / n under both weightings.
+    beta a_i phi_i + (1 - beta) b_i (s_g(i) - phi_i), with s_g the sum of
+    the columns in group g; a and b are constant within a group, which
+    makes the two forms equal. Size weighting makes every same-venue pair
+    weigh 1/n and every ordered cross pair 1/N2; equal weighting gives each
+    group the same total mass. Singleton groups get b_i = 0 and the cross
+    mass renormalizes over the rest. With no groups or at beta=1 E(phi) is
+    phi / n under both weightings.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
@@ -132,8 +90,29 @@ def blend_partners(phi, groups, beta, group_weighting="size"):
         raise ValueError(f"unknown group_weighting {group_weighting!r}")
     if groups is None or beta == 1.0:
         return phi / phi.shape[1]
-    a, b = pair_coefficients(groups, beta, group_weighting)
-    return beta * (phi * a) + (1.0 - beta) * ((group_sums(phi, groups) - phi) * b)
+    n = groups.n_samples
+    sizes = groups.sizes()
+    n_cross = sum(sz >= 2 for sz in sizes.values())
+    if not n_cross:
+        raise NoCrossPairsError(
+            "every group is a singleton: no cross-venue pairs exist for beta < 1"
+        )
+    n2_total = sum(sz * (sz - 1) for sz in sizes.values())
+    a = np.zeros(n)
+    b = np.zeros(n)
+    S = np.empty_like(phi)
+    for g, idx in groups.items():
+        sz = sizes[g]
+        S[:, idx] = phi[:, idx].sum(axis=1, keepdims=True)
+        if group_weighting == "size":
+            a[idx] = 1.0 / n
+            if sz >= 2:
+                b[idx] = 1.0 / n2_total
+        else:
+            a[idx] = 1.0 / (len(sizes) * sz)
+            if sz >= 2:
+                b[idx] = 1.0 / (n_cross * sz * (sz - 1))
+    return beta * (phi * a) + (1.0 - beta) * ((S - phi) * b)
 
 
 def combined_cross_covariance(phi_x, phi_y, groups, beta, group_weighting="size"):
@@ -217,6 +196,9 @@ def fit_cca(X, Y, k, r=0.0, groups=None, beta=1.0, group_weighting="size"):
         raise ValueError(f"k must lie in 1..{min(d_x, d_y)}, got {k}")
     if n <= k:
         raise ValueError(f"need more samples than components: n={n}, k={k}")
+    for view, Z in (("X", X), ("Y", Y)):
+        if not np.isfinite(Z).all():
+            raise ValueError(f"{view} holds NaN or inf values")
     mean_x = X.mean(axis=1)
     mean_y = Y.mean(axis=1)
     Xc = X - mean_x[:, None]

@@ -212,6 +212,9 @@ class VenueRecord:
                 f"venue {self.venue_id!r}: photos must be (n_photos, d_x), "
                 f"got shape {self.photos.shape}"
             )
+        for modality in ("text", "photos"):
+            if not np.isfinite(getattr(self, modality)).all():
+                raise DatasetError(f"venue {self.venue_id!r}: {modality} holds NaN or inf values")
         if not CATEGORY_MIN <= int(self.category) <= CATEGORY_MAX:
             raise DatasetError(
                 f"venue {self.venue_id!r}: category {self.category} outside "

@@ -2,14 +2,13 @@
 backpropagating the correlation objective through two sub-networks.
 
 The objective for a batch of network outputs Hx, Hy is the sum of the top
-k singular values of T = C_xx^{-1/2} C_xy C_yy^{-1/2}, where C_xy is the
-beta-blend from the cca module. Its gradient with respect to the raw
-outputs is computed analytically; the blend contributes per-sample group
-terms on top of the classic deep-CCA gradient, and beta=1 reduces to that
-classic form exactly, under either group weighting.
+k canonical correlations of cca.fit_cca on the batch. Its gradient needs
+nothing beyond the fitted directions (Wx, Wy) and correlations rho
+(Andrew et al., ICML 2013); the blend enters through cca.blend_partners,
+and beta=1 is the classic deep-CCA gradient under either group weighting.
 
 Training alternates: forward both nets on a category-stratified batch,
-solve the small CCA in closed form, push the objective's gradient back
+fit the small CCA in closed form, push the objective's gradient back
 through both nets, and let Adam take a step. After the loop a linear head
 is fitted on eval-mode outputs of the full training set. The two networks,
 run in eval mode, are the model's feature maps: projections go through
@@ -30,7 +29,6 @@ from .cca import (
     blend_partners,
     fit_cca,
 )
-from .linalg import inv_sqrt_sym, regularized_covariance
 from .neural import AdamState, MlpNetwork, Standardizer, adam_step, mlp_backward, mlp_forward
 
 GAP_TOL = 1e-9
@@ -51,11 +49,12 @@ def cca_objective(Hx, Hy, groups=None, beta=1.0, r=1e-4, k=None, group_weighting
 
     Returns
     -------
-    (value, grad_Hx, grad_Hy) where the gradients are with respect to the
-    raw uncentered outputs and are exact (finite differences agree to
-    first order). When the k-th and (k+1)-th singular values coincide the
-    objective is not differentiable; a subgradient is returned with a
-    warning.
+    (value, grad_Hx, grad_Hy): value is rho_1 + ... + rho_k of fit_cca on
+    the batch. With the fit's first k directions and E = blend_partners,
+    grad_Hx = (n/(n-1)) Wx Wy^T E(Hyc) - (1/(n-1)) Wx diag(rho) Wx^T Hxc,
+    chained through the centering; grad_Hy mirrors it. Both are exact
+    gradients in the raw outputs. When rho_k and rho_{k+1} coincide a
+    subgradient is returned with a warning.
     """
     Hx = np.asarray(Hx, dtype=float)
     Hy = np.asarray(Hy, dtype=float)
@@ -72,38 +71,24 @@ def cca_objective(Hx, Hy, groups=None, beta=1.0, r=1e-4, k=None, group_weighting
         raise ValueError(
             f"need more samples than output dims: n={n}, dims=({dx}, {dy})"
         )
-    Hxc = Hx - Hx.mean(axis=1, keepdims=True)
-    Hyc = Hy - Hy.mean(axis=1, keepdims=True)
-    Cxx = regularized_covariance(Hxc, r)
-    Cyy = regularized_covariance(Hyc, r)
-    rescale = n / (n - 1.0)
-    Ex = blend_partners(Hxc, groups, beta, group_weighting)
-    Ey = blend_partners(Hyc, groups, beta, group_weighting)
-    Cxy = rescale * (Hxc @ Ey.T)
-    A = inv_sqrt_sym(Cxx)
-    B = inv_sqrt_sym(Cyy)
-    T = A @ Cxy @ B
-    U, s, Vt = np.linalg.svd(T)
-    if k < full and s[k - 1] - s[k] < GAP_TOL:
+    head = fit_cca(Hx, Hy, min(k + 1, full), r, groups, beta, group_weighting)
+    rho = head.rho
+    if k < full and rho[k - 1] - rho[k] < GAP_TOL:
         warnings.warn(
             f"singular values {k} and {k + 1} coincide within {GAP_TOL}; "
             "the objective is not differentiable here, returning a subgradient"
         )
-    value = float(s[:k].sum())
-    Uk = U[:, :k]
-    Vk = Vt[:k].T
-    sk = s[:k]
-    nabla_xy = A @ Uk @ Vk.T @ B
-    nabla_xx = -0.5 * (A @ (Uk * sk) @ Uk.T @ A)
-    nabla_yy = -0.5 * (B @ (Vk * sk) @ Vk.T @ B)
-    gx = (2.0 / (n - 1.0)) * (nabla_xx @ Hxc)
-    gy = (2.0 / (n - 1.0)) * (nabla_yy @ Hyc)
-    gx += rescale * (nabla_xy @ Ey)
-    gy += rescale * (nabla_xy.T @ Ex)
+    Wx, Wy, rho = head.Wx[:, :k], head.Wy[:, :k], rho[:k]
+    Hxc = Hx - head.mean_x[:, None]
+    Hyc = Hy - head.mean_y[:, None]
+    Ex = blend_partners(Hxc, groups, beta, group_weighting)
+    Ey = blend_partners(Hyc, groups, beta, group_weighting)
+    gx = (n / (n - 1.0)) * (Wx @ (Wy.T @ Ey)) - (1.0 / (n - 1.0)) * ((Wx * rho) @ (Wx.T @ Hxc))
+    gy = (n / (n - 1.0)) * (Wy @ (Wx.T @ Ex)) - (1.0 / (n - 1.0)) * ((Wy * rho) @ (Wy.T @ Hyc))
     # chain through the centering map: right-multiply by I - 11^T/n
     gx -= gx.mean(axis=1, keepdims=True)
     gy -= gy.mean(axis=1, keepdims=True)
-    return value, gx, gy
+    return float(rho.sum()), gx, gy
 
 
 @dataclass

@@ -96,9 +96,7 @@ def svd_topk(M, k):
     U = U[:, :k].copy()
     V = Vt[:k].T.copy()
     s = s[:k].copy()
-    for j in range(k):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] *= -1.0
-            V[:, j] *= -1.0
+    flip = U[np.argmax(np.abs(U), axis=0), np.arange(k)] < 0
+    U[:, flip] *= -1.0
+    V[:, flip] *= -1.0
     return U, s, V

@@ -193,11 +193,17 @@ def load_index(path):
     if kind != KIND_INDEX:
         raise dataio.DatasetError(f"{path}: not a venue index (kind {kind!r})")
     try:
-        return VenueIndex(
-            venue_ids=list(meta["venue_ids"]),
-            categories=blocks["categories"][0].astype(int),
-            coords=blocks["coords"],
-            vectors=blocks["vectors"],
-        )
+        venue_ids, categories = meta["venue_ids"], blocks["categories"]
+        coords, vectors = blocks["coords"], blocks["vectors"]
     except KeyError as e:
         raise dataio.DatasetError(f"{path}: {kind} file has no {e.args[0]!r} entry") from None
+    # ids are compared when ranked, so they must all share one JSON type
+    id_types = {type(v) for v in venue_ids} if isinstance(venue_ids, list) else {None}
+    if len(id_types) > 1 or not id_types <= {str, int}:
+        raise dataio.DatasetError(f"{path}: venue_ids must be a list of strings or of integers")
+    if categories.shape[0] != 1:
+        raise dataio.DatasetError(f"{path}: categories block must have one row, got {categories.shape[0]}")
+    try:
+        return VenueIndex(venue_ids, categories[0].astype(int), coords, vectors)
+    except ValueError as e:  # arrays that disagree on the venue count, duplicate ids
+        raise dataio.DatasetError(f"{path}: {e}") from None

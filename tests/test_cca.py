@@ -220,6 +220,15 @@ class TestFitCca:
         with pytest.raises(NotPositiveDefiniteError, match="r > 0"):
             fit_cca(X, Y, k=2, r=0.0)
 
+    @pytest.mark.parametrize("view", ["X", "Y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_names_the_view(self, view, bad):
+        rng = np.random.default_rng(12)
+        views = {"X": rng.standard_normal((3, 20)), "Y": rng.standard_normal((3, 20))}
+        views[view][1, 4] = bad
+        with pytest.raises(ValueError, match=f"{view} holds NaN or inf"):
+            fit_cca(views["X"], views["Y"], k=2, r=1e-4)
+
     def test_shape_validation(self):
         X = np.zeros((3, 10))
         with pytest.raises(ValueError, match="k"):

@@ -9,7 +9,7 @@ import pytest
 
 from venuecca.cca import LinearCcaModel
 from venuecca.cli import main
-from venuecca.dataio import load_dataset, write_matrix_csv
+from venuecca.dataio import load_dataset, write_container, write_matrix_csv
 from venuecca.dcca import DeepCcaModel
 from venuecca.kcca import KernelCcaModel
 from venuecca.model_io import load_index, load_model
@@ -325,6 +325,32 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "empty-header.vcca" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "meta,category_rows",
+        [({"venue_ids": 5}, 1), ({"venue_ids": ["a", "b"]}, 0)],
+        ids=["venue-ids-not-a-list", "categories-without-rows"],
+    )
+    def test_malformed_index_is_an_error_not_a_traceback(self, trained, tmp_path, meta, category_rows):
+        model_path, _ = trained
+        index_path = tmp_path / "bad.vidx"
+        blocks = {
+            "vectors": np.zeros((2, 2)),
+            "coords": np.zeros((2, 2)),
+            "categories": np.ones((category_rows, 2)),
+        }
+        write_container(index_path, "venue-index", meta, blocks)
+        qfile = tmp_path / "q.csv"
+        write_matrix_csv(qfile, np.zeros((1, 8)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "venuecca.cli", "retrieve", "--model", str(model_path),
+             "--index", str(index_path), "--query", str(qfile)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "bad.vidx" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_unknown_method_rejected(self, dataset, tmp_path):

@@ -79,6 +79,15 @@ class TestVenueRecord:
         v = VenueRecord("v1", 2, 0.0, 0.0, np.zeros(4), np.empty((0, 6)))
         assert v.n_photos == 0
 
+    @pytest.mark.parametrize("modality", ["text", "photos"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_are_named(self, modality, bad):
+        v = make_venue("v1")
+        values = getattr(v, modality).copy()
+        values.flat[1] = bad
+        with pytest.raises(DatasetError, match=f"'v1': {modality} holds NaN or inf"):
+            replace(v, **{modality: values})
+
 
 class TestManifestRoundTrip:
     def test_counts_readback(self, tmp_path):
@@ -102,6 +111,19 @@ class TestManifestRoundTrip:
     def test_empty_list(self, tmp_path):
         write_dataset([], tmp_path / "manifest.json")
         assert load_dataset(tmp_path / "manifest.json") == []
+
+    @pytest.mark.parametrize("modality", ["text", "photos"])
+    def test_non_finite_feature_file_is_named(self, modality, tmp_path):
+        v = make_venue("v1")
+        write_dataset([v], tmp_path / "manifest.json")
+        values = np.atleast_2d(getattr(v, modality)).copy()
+        values[0, 0] = np.nan
+        if modality == "text":
+            write_matrix_csv(tmp_path / "v1_text.csv", values)
+        else:
+            write_matrix(tmp_path / "v1_photos.bin", values)
+        with pytest.raises(DatasetError, match=f"'v1': {modality} holds NaN or inf"):
+            load_dataset(tmp_path / "manifest.json")
 
     def test_zero_photo_venue(self, tmp_path):
         v = VenueRecord("solo", 3, 1.0, 2.0, np.arange(4.0), np.empty((0, 6)))

@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from venuecca.cca import GroupIndex
+from venuecca.cca import GroupIndex, blend_partners
 from venuecca.dataio import PairedDataset
 from venuecca.dcca import cca_objective, stratified_batches, train_dcca
+from venuecca.linalg import inv_sqrt_sym, regularized_covariance
 from venuecca.neural import TrainConfig
 
 
@@ -41,7 +42,56 @@ def fd_gradient(f, H, h=1e-6, stride=7):
     return out
 
 
+def reference_objective(Hx, Hy, groups=None, beta=1.0, r=1e-4, k=None, group_weighting="size"):
+    """The objective written out: ridge covariances, whitening, a full SVD
+    of T = A C_xy B, and the gradient from the nabla_xx / nabla_xy terms."""
+    n = Hx.shape[1]
+    k = min(Hx.shape[0], Hy.shape[0]) if k is None else k
+    Hxc = Hx - Hx.mean(axis=1, keepdims=True)
+    Hyc = Hy - Hy.mean(axis=1, keepdims=True)
+    rescale = n / (n - 1.0)
+    Ex = blend_partners(Hxc, groups, beta, group_weighting)
+    Ey = blend_partners(Hyc, groups, beta, group_weighting)
+    A = inv_sqrt_sym(regularized_covariance(Hxc, r))
+    B = inv_sqrt_sym(regularized_covariance(Hyc, r))
+    U, s, Vt = np.linalg.svd(A @ (rescale * (Hxc @ Ey.T)) @ B)
+    Uk, Vk, sk = U[:, :k], Vt[:k].T, s[:k]
+    nabla_xy = A @ Uk @ Vk.T @ B
+    nabla_xx = -0.5 * (A @ (Uk * sk) @ Uk.T @ A)
+    nabla_yy = -0.5 * (B @ (Vk * sk) @ Vk.T @ B)
+    gx = (2.0 / (n - 1.0)) * (nabla_xx @ Hxc) + rescale * (nabla_xy @ Ey)
+    gy = (2.0 / (n - 1.0)) * (nabla_yy @ Hyc) + rescale * (nabla_xy.T @ Ex)
+    gx -= gx.mean(axis=1, keepdims=True)
+    gy -= gy.mean(axis=1, keepdims=True)
+    return float(sk.sum()), gx, gy
+
+
+REFERENCE_CASES = [
+    pytest.param(4, 4, None, None, 1.0, "size", id="no-groups"),
+    *(
+        pytest.param(4, 4, None, (1, 2, 3, 3, 4), beta, w, id=f"beta{beta}-{w}")
+        for beta in (0.0, 0.3, 1.0)
+        for w in ("size", "equal")
+    ),
+    pytest.param(5, 3, 2, (1, 2, 2), 0.3, "size", id="non-square-k2"),
+]
+
+
 class TestCcaObjective:
+    @pytest.mark.parametrize("dx,dy,k,cycle,beta,weighting", REFERENCE_CASES)
+    def test_matches_written_out_reference(self, dx, dy, k, cycle, beta, weighting):
+        rng = np.random.default_rng(11)
+        n = 45
+        Hx = rng.standard_normal((dx, n))
+        Hy = 0.5 * Hx[:dy] + rng.standard_normal((dy, n))
+        # a label cycle with a singleton category exercises the renormalization
+        groups = None if cycle is None else GroupIndex.from_labels(np.append(np.resize(cycle, n - 1), 9))
+        got = cca_objective(Hx, Hy, groups, beta, 1e-3, k, weighting)
+        want = reference_objective(Hx, Hy, groups, beta, 1e-3, k, weighting)
+        assert abs(got[0] - want[0]) <= 1e-12
+        for g, ref in zip(got[1:], want[1:]):
+            assert np.abs(g - ref).max() <= 1e-10 * np.abs(ref).max()
+
     def test_identical_views_saturate(self):
         rng = np.random.default_rng(0)
         H = rng.standard_normal((4, 200))
@@ -145,6 +195,9 @@ class TestCcaObjective:
             cca_objective(np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="matching"):
             cca_objective(np.zeros((3, 5)), np.zeros((3, 6)))
+        rng = np.random.default_rng(12)
+        with pytest.raises(ValueError, match="Y holds NaN or inf"):
+            cca_objective(rng.standard_normal((3, 10)), np.full((3, 10), np.nan))
 
 
 class TestStratifiedBatches:

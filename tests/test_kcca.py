@@ -112,6 +112,15 @@ class TestFitKcca:
             fit_kcca(X, Y, k=2, r=0.0)
 
 
+    @pytest.mark.parametrize("view", ["X", "Y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_names_the_view(self, view, bad):
+        rng = np.random.default_rng(10)
+        views = {"X": rng.standard_normal((3, 25)), "Y": rng.standard_normal((2, 25))}
+        views[view][0, 3] = bad
+        with pytest.raises(ValueError, match=f"{view} holds NaN or inf"):
+            fit_kcca(views["X"], views["Y"], k=2, r=1e-3)
+
 class TestKccaProject:
     def make_model(self, seed=10, n=50):
         rng = np.random.default_rng(seed)

@@ -218,17 +218,29 @@ def write_raw_container(path, header):
     path.write_bytes(b"VCCAPKG1" + struct.pack("<I", len(payload)) + payload + bytes(16))
 
 
-@pytest.mark.parametrize("case", [*WRONG_SHAPE_HEADERS, "index-without-venue-ids"])
+# case: (index meta, rows of the categories block, what the error names)
+MALFORMED_INDEXES = {
+    "index-without-venue-ids": ({}, 1, "'venue_ids'"),
+    "index-venue-ids-not-a-list": ({"venue_ids": 5}, 1, "venue_ids"),
+    "index-venue-ids-of-mixed-types": ({"venue_ids": ["a", 2]}, 1, "venue_ids"),
+    "index-categories-without-rows": ({"venue_ids": ["a", "b"]}, 0, "categories"),
+    "index-duplicate-venue-ids": ({"venue_ids": ["a", "a"]}, 1, "duplicate"),
+    "index-too-few-venue-ids": ({"venue_ids": ["a"]}, 1, "disagree"),
+}
+
+
+@pytest.mark.parametrize("case", [*WRONG_SHAPE_HEADERS, *MALFORMED_INDEXES])
 def test_header_of_wrong_shape_is_named(case, tmp_path):
     path = tmp_path / "m.vcca"
-    if case == "index-without-venue-ids":
+    if case in MALFORMED_INDEXES:
+        meta, category_rows, named = MALFORMED_INDEXES[case]
         blocks = {
-            "vectors": np.zeros((2, 1)),
-            "coords": np.zeros((1, 2)),
-            "categories": np.ones((1, 1)),
+            "vectors": np.zeros((2, 2)),
+            "coords": np.zeros((2, 2)),
+            "categories": np.ones((category_rows, 2)),
         }
-        write_container(path, "venue-index", {}, blocks)
-        with pytest.raises(DatasetError, match="m.vcca.*'venue_ids'"):
+        write_container(path, "venue-index", meta, blocks)
+        with pytest.raises(DatasetError, match=f"m.vcca.*{named}"):
             load_index(path)
     else:
         write_raw_container(path, WRONG_SHAPE_HEADERS[case])
