@@ -1,10 +1,11 @@
 """Dense matrix primitives shared by every solver in the package.
 
 All feature batches follow the columns-as-samples convention: n vectors in
-R^d are stored as a (d, n) array. Everything here is plain float64 numpy.
+R^d are stored as a (d, n) array. Everything here is float64 numpy/LAPACK.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dorgqr, dsyevr
 
 
 class DegenerateBatchError(ValueError):
@@ -81,21 +82,35 @@ def svd_topk(M, k):
     """Leading k singular triplets of M with a fixed sign convention.
 
     Returns (U, s, V) where U is (d1, k), s is the k largest singular
-    values in descending order, and V is (d2, k), so M ~= U diag(s) V^T is
-    the best rank-k approximation. Signs are pinned by forcing the
-    largest-magnitude entry of each left singular vector to be
-    non-negative (the paired right vector flips with it), which makes the
-    output deterministic across runs.
+    values, descending up to rounding, and V is (d2, k), so U diag(s) V^T
+    is the best rank-k approximation of M. With P the wider of M and M^T,
+    the cost is one Gram product P P^T, one eigensolve for its top k
+    eigenvectors U only, and one thin QR P^T U = V R of a (max(d1, d2), k)
+    matrix with s = |diag R|. Nothing divides by s, so a zero singular
+    value gets an orthonormal completion as its vector. Signs are pinned:
+    the largest-magnitude entry of each left vector is made non-negative,
+    and its right vector flips with it, so the output is deterministic.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {M.shape}")
     if not 1 <= k <= min(M.shape):
         raise ValueError(f"k must be in 1..{min(M.shape)}, got {k}")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    U = U[:, :k].copy()
-    V = Vt[:k].T.copy()
-    s = s[:k].copy()
+    if not np.isfinite(M).all():
+        raise ValueError("M holds NaN or inf values")
+    tall = M.shape[0] > M.shape[1]
+    P = M.T if tall else M
+    # LAPACK's subset driver forms only the top k eigenvectors, in ascending order
+    _, U, _, _, info = dsyevr(P @ P.T, range="I", il=len(P) - k + 1, iu=len(P), overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"eigensolver failed with info {info}")
+    U = U[:, ::-1]
+    QR, tau, _, _ = dgeqrf(P.T @ U)
+    V, _, _ = dorgqr(QR, tau)
+    s = np.abs(QR.diagonal())
+    V[:, QR.diagonal() < 0] *= -1.0
+    if tall:
+        U, V = V, U
     flip = U[np.argmax(np.abs(U), axis=0), np.arange(k)] < 0
     U[:, flip] *= -1.0
     V[:, flip] *= -1.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -88,7 +90,58 @@ class TestInvSqrtSym:
             inv_sqrt_sym(M)
 
 
+SHAPES_AND_K = [
+    pytest.param(shape, k, id=f"{shape[0]}x{shape[1]}-k{k}")
+    for shape in ((7, 4), (4, 7), (6, 6))
+    for k in range(1, min(shape) + 1)
+]
+
+
 class TestSvdTopk:
+    @pytest.mark.parametrize("shape,k", SHAPES_AND_K)
+    def test_every_shape_and_k_against_full_svd(self, shape, k):
+        M = np.random.default_rng(sum(shape)).standard_normal(shape)
+        Uf, sf, Vtf = np.linalg.svd(M)
+        U, s, V = svd_topk(M, k)
+        assert U.shape == (shape[0], k) and V.shape == (shape[1], k)
+        npt.assert_allclose(s, sf[:k], rtol=0, atol=1e-12)
+        npt.assert_allclose(U.T @ U, np.eye(k), rtol=0, atol=1e-12)
+        npt.assert_allclose(V.T @ V, np.eye(k), rtol=0, atol=1e-12)
+        assert np.all(np.diff(s) <= 0)
+        err = np.linalg.norm(M - U @ np.diag(s) @ V.T)
+        err_oracle = np.linalg.norm(M - Uf[:, :k] @ np.diag(sf[:k]) @ Vtf[:k])
+        npt.assert_allclose(err, err_oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (4, 5)])
+    def test_zero_matrix_completes_orthonormally(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U, s, V = svd_topk(np.zeros(shape), 3)
+        npt.assert_array_equal(s, np.zeros(3))
+        npt.assert_allclose(U.T @ U, np.eye(3), rtol=0, atol=1e-12)
+        npt.assert_allclose(V.T @ V, np.eye(3), rtol=0, atol=1e-12)
+
+    def test_rank_one_matrix(self):
+        rng = np.random.default_rng(7)
+        u, v = rng.standard_normal(6), rng.standard_normal(5)
+        M = np.outer(u, v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U, s, V = svd_topk(M, 3)
+        # the null directions' values are zero up to rounding, as in the full SVD
+        assert s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
+        assert np.all(s[1:] <= 1e-12 * s[0])
+        npt.assert_allclose(U.T @ U, np.eye(3), rtol=0, atol=1e-12)
+        npt.assert_allclose(V.T @ V, np.eye(3), rtol=0, atol=1e-12)
+        npt.assert_allclose(U[:, :1] * s[0] @ V[:, :1].T, M, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_named(self, bad):
+        M = np.eye(4)
+        M[2, 1] = bad
+        with pytest.raises(ValueError, match="M holds NaN or inf values"):
+            svd_topk(M, 2)
+
     def test_reconstruction_matches_full_svd_oracle(self):
         rng = np.random.default_rng(3)
         M = rng.standard_normal((6, 4))
