@@ -38,6 +38,7 @@ from .linalg import (
     regularized_covariance,
     svd_topk,
 )
+from .methods import METHODS, fit
 from .model_io import load_index, load_model, save_index, save_model
 from .neural import AdamState, MlpNetwork, Standardizer, TrainConfig, adam_step, mlp_backward, mlp_forward
 from .retrieval import (
@@ -58,6 +59,7 @@ from .retrieval import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "METHODS",
     "AdamState",
     "DatasetError",
     "DeepCcaModel",
@@ -87,6 +89,7 @@ __all__ = [
     "cca_transform",
     "combined_cross_covariance",
     "evaluate",
+    "fit",
     "fit_cca",
     "fit_kcca",
     "gaussian_kernel",

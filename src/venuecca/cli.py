@@ -9,12 +9,11 @@ identical files.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .cca import GroupIndex, fit_cca
 from .dataio import (
     DatasetError,
     SplitSpec,
@@ -25,13 +24,12 @@ from .dataio import (
     synth_generate,
     write_dataset,
 )
-from .dcca import DeepCcaModel, train_dcca
-from .kcca import KernelCcaModel, fit_kcca
+from .dcca import DeepCcaModel
+from .kcca import KernelCcaModel
+from .methods import METHODS, fit, resolve_beta
 from .model_io import load_index, load_model, save_index, save_model
 from .neural import TrainConfig
 from .retrieval import GeoFilter, build_index, evaluate, rank_venues
-
-METHODS = ("cca", "c-cca", "kcca", "c-kcca", "dcca", "c-dcca")
 
 
 @dataclass
@@ -62,14 +60,8 @@ class RunConfig:
     synth: dict = None
 
     def validate(self):
-        if self.method is not None and self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; pick from {METHODS}")
         if self.sigma is not None and self.sigma <= 0:
             raise ValueError("--sigma must be > 0")
-        if self.sigma is not None and self.method not in (None, "kcca", "c-kcca"):
-            raise ValueError(f"--sigma applies to kernel methods, not {self.method}")
-        if self.folds < 1:
-            raise ValueError("--folds must be >= 1")
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -77,44 +69,7 @@ class RunConfig:
             fh.write("\n")
 
 
-def _resolve_beta(method, beta_arg):
-    if method.startswith("c-"):
-        return 0.3 if beta_arg is None else float(beta_arg)
-    if beta_arg is not None and float(beta_arg) != 1.0:
-        raise ValueError(
-            f"--beta steers the category-weighted methods; {method} runs at beta=1"
-        )
-    return 1.0
-
-
 def _train_model(train_set, config):
-    """Dispatch on method; returns the fitted model."""
-    method = config.method
-    groups = None
-    if method in ("c-cca", "c-kcca"):
-        groups = GroupIndex.from_labels(train_set.categories)
-    if method in ("cca", "c-cca"):
-        return fit_cca(
-            train_set.X,
-            train_set.Y,
-            config.k,
-            config.r,
-            groups=groups,
-            beta=config.beta,
-            group_weighting=config.group_weighting,
-        )
-    if method in ("kcca", "c-kcca"):
-        return fit_kcca(
-            train_set.X,
-            train_set.Y,
-            config.k,
-            config.r,
-            sigma_x=config.sigma,
-            sigma_y=config.sigma,
-            groups=groups,
-            beta=config.beta,
-            group_weighting=config.group_weighting,
-        )
     tc = TrainConfig(
         learning_rate=config.lr,
         batch_size=config.batch_size,
@@ -127,7 +82,7 @@ def _train_model(train_set, config):
         dropout_rate=config.dropout,
         group_weighting=config.group_weighting,
     )
-    return train_dcca(train_set, tc)
+    return fit(config.method, train_set, tc, config.sigma)
 
 
 def _history_csv(model, path):
@@ -190,7 +145,7 @@ def _config_from_args(args, command):
         manifest=args.manifest,
         out=args.out,
         seed=args.seed,
-        beta=None if args.method is None else _resolve_beta(args.method, args.beta),
+        beta=None if args.method is None else resolve_beta(args.method, args.beta),
         r=args.r,
         k=args.k,
         lr=args.lr,
@@ -274,6 +229,8 @@ def _write_report(report, out_dir, stem):
 def cmd_eval(args):
     if args.model is None and args.method is None:
         raise ValueError("eval needs --model or --method")
+    if args.folds < 1:
+        raise ValueError("--folds must be >= 1")
     if args.folds > 1 and args.method is None:
         raise ValueError("--folds retrains per fold and therefore needs --method")
     config = _config_from_args(args, "eval")
@@ -284,39 +241,29 @@ def cmd_eval(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_fold(seed, model=None):
-        fold_config = RunConfig(**{**asdict(config), "seed": seed})
-        fold_config.hidden_sizes = tuple(fold_config.hidden_sizes)
-        venues, train_set, test_set = _split_and_pairs(fold_config)
-        if model is None:
-            model = _train_model(train_set, fold_config)
-        index = build_index(model, venues)
-        return evaluate(
-            model,
+    several = config.folds > 1
+    model = load_model(args.model) if args.model else None
+    reports = []
+    for f in range(config.folds):
+        fold = replace(config, seed=config.seed + f)
+        venues, train_set, test_set = _split_and_pairs(fold)
+        fold_model = _train_model(train_set, fold) if model is None else model
+        index = build_index(fold_model, venues)
+        report = evaluate(
+            fold_model,
             index,
             test_set,
             geo_radius_km=config.geo_radius,
             position_noise_km=config.position_noise_km,
-            seed=seed,
+            seed=fold.seed,
             weight_by_rho=config.weight_by_rho,
         )
-
-    if config.folds == 1:
-        model = load_model(args.model) if args.model else None
-        report = run_fold(config.seed, model)
-        _write_report(report, out_dir, "")
-        config.write(out_dir / "config.json")
-        print(f"MRR1 {report.mrr1:.4f}  MAP {report.map:.4f} ({report.n_queries} queries)")
-    else:
-        reports = []
-        for f in range(config.folds):
-            report = run_fold(config.seed + f)
-            _write_report(report, out_dir, f"fold{f}_")
-            reports.append(report)
-            print(
-                f"fold {f}: MRR1 {report.mrr1:.4f}  MAP {report.map:.4f} "
-                f"({report.n_queries} queries)"
-            )
+        reports.append(report)
+        _write_report(report, out_dir, f"fold{f}_" if several else "")
+        label = f"fold {f}: " if several else ""
+        print(f"{label}MRR1 {report.mrr1:.4f}  MAP {report.map:.4f} ({report.n_queries} queries)")
+    config.write(out_dir / "config.json")
+    if several:
         summary = {
             "folds": config.folds,
             "mrr1_per_fold": [r.mrr1 for r in reports],
@@ -327,7 +274,6 @@ def cmd_eval(args):
         with open(out_dir / "summary.json", "w", encoding="ascii") as fh:
             json.dump(summary, fh, sort_keys=True, indent=1)
             fh.write("\n")
-        config.write(out_dir / "config.json")
         print(
             f"{config.folds}-fold mean: MRR1 {summary['mrr1_mean']:.4f}  "
             f"MAP {summary['map_mean']:.4f}"
@@ -377,7 +323,7 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="model file to write")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_train, method_required=True)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("index", help="project venue texts into a searchable index")
     p.add_argument("--model", required=True)

@@ -339,13 +339,16 @@ def load_dataset(manifest_path):
 
     Returns VenueRecords sorted by venue_id. Raises DatasetError with a
     distinct message for a missing file, a dimension mismatch, a duplicate
-    venue id, or an out-of-range category.
+    venue id, an out-of-range category, a manifest that is not an object,
+    or a venue entry that lacks a key or is not an object.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DatasetError(f"missing manifest: {manifest_path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}")
     for key in ("dim_x", "dim_y", "venues"):
         if key not in manifest:
             raise DatasetError(f"manifest lacks required key {key!r}")
@@ -353,37 +356,44 @@ def load_dataset(manifest_path):
     base = manifest_path.parent
     records = []
     seen = set()
-    for entry in manifest["venues"]:
-        vid = entry["id"]
-        if vid in seen:
-            raise DatasetError(f"duplicate venue id {vid!r}")
-        seen.add(vid)
-        text = read_feature_file(base / entry["text_file"])
-        if text.shape != (1, dim_y):
-            raise DatasetError(
-                f"venue {vid!r}: text feature is {text.shape}, expected (1, {dim_y})"
+    i = None
+    try:
+        for i, entry in enumerate(manifest["venues"]):
+            vid = entry["id"]
+            if vid in seen:
+                raise DatasetError(f"duplicate venue id {vid!r}")
+            seen.add(vid)
+            text = read_feature_file(base / entry["text_file"])
+            if text.shape != (1, dim_y):
+                raise DatasetError(
+                    f"venue {vid!r}: text feature is {text.shape}, expected (1, {dim_y})"
+                )
+            photo_rows = [read_feature_file(base / f) for f in entry["photo_files"]]
+            if photo_rows:
+                for f, block in zip(entry["photo_files"], photo_rows):
+                    if block.shape[1] != dim_x:
+                        raise DatasetError(
+                            f"venue {vid!r}: photo file {f} has {block.shape[1]} dims, "
+                            f"expected {dim_x}"
+                        )
+                photos = np.vstack(photo_rows)
+            else:
+                photos = np.empty((0, dim_x))
+            records.append(
+                VenueRecord(
+                    venue_id=vid,
+                    category=entry["category"],
+                    lat=float(entry["lat"]),
+                    lon=float(entry["lon"]),
+                    text=text[0],
+                    photos=photos,
+                )
             )
-        photo_rows = [read_feature_file(base / f) for f in entry["photo_files"]]
-        if photo_rows:
-            for f, block in zip(entry["photo_files"], photo_rows):
-                if block.shape[1] != dim_x:
-                    raise DatasetError(
-                        f"venue {vid!r}: photo file {f} has {block.shape[1]} dims, "
-                        f"expected {dim_x}"
-                    )
-            photos = np.vstack(photo_rows)
-        else:
-            photos = np.empty((0, dim_x))
-        records.append(
-            VenueRecord(
-                venue_id=vid,
-                category=entry["category"],
-                lat=float(entry["lat"]),
-                lon=float(entry["lon"]),
-                text=text[0],
-                photos=photos,
-            )
-        )
+    except KeyError as e:
+        raise DatasetError(f"{manifest_path}: venue entry {i} lacks key {e.args[0]!r}") from None
+    except TypeError as e:
+        where = "'venues' is not a list" if i is None else f"venue entry {i} is malformed"
+        raise DatasetError(f"{manifest_path}: {where} ({e})") from None
     records.sort(key=_venue_sort_key)
     return records
 
@@ -409,7 +419,7 @@ def build_pairs(venues, split):
     n_train = max(1, int(round(split.train_venue_fraction * n_venues)))
     train_set = set(rng.permutation(n_venues)[:n_train].tolist())
 
-    def one(i, v, photo_idx, bucket):
+    def one(v, photo_idx, bucket):
         bucket["x"].append(v.photos[photo_idx])
         bucket["y"].append(v.text)
         bucket["ids"].append(v.venue_id)
@@ -428,12 +438,12 @@ def build_pairs(venues, split):
             n_extra = int(round(split.extra_photo_ratio * len(rest)))
             extra = sorted(rng.permutation(rest)[:n_extra].tolist())
             for p in [0] + extra:
-                one(i, v, p, train)
+                one(v, p, train)
             for p in sorted(set(rest.tolist()) - set(extra)):
-                one(i, v, p, test)
+                one(v, p, test)
         else:
             for p in range(v.n_photos):
-                one(i, v, p, test)
+                one(v, p, test)
 
     def pack(bucket, d_x, d_y):
         n = len(bucket["ids"])

@@ -131,13 +131,34 @@ def stratified_batches(categories, batch_size, rng):
     return [np.array(b, dtype=int) for b in buckets]
 
 
+def _batch_objective(Hx, Hy, groups, config):
+    """cca_objective on one batch, pairwise when the batch has no cross
+    pairs; a ValueError when the outputs, value or gradients are not
+    finite or the CCA solve fails on them."""
+    try:
+        value, gx, gy = cca_objective(
+            Hx, Hy, groups, config.beta, config.r, config.k, config.group_weighting
+        )
+    except NoCrossPairsError:
+        warnings.warn(
+            "batch holds one sample per category; falling back to the "
+            "pairwise covariance for this batch"
+        )
+        value, gx, gy = cca_objective(Hx, Hy, r=config.r, k=config.k)
+    if not (math.isfinite(value) and np.isfinite(gx).all() and np.isfinite(gy).all()):
+        raise ValueError("the objective or its gradient is not finite")
+    return value, gx, gy
+
+
 def train_dcca(train, config):
     """Run the alternating training loop and fit the final head.
 
     train is a PairedDataset; config a neural.TrainConfig. Training stops
     after config.epochs or once the epoch-mean objective improves by less
     than config.tol for config.patience consecutive epochs. Fixed seed
-    means bit-identical history.
+    means bit-identical history. A batch whose CCA solve fails, or
+    whose objective or gradient is not finite, raises a ValueError that
+    names its epoch and batch.
     """
     n = train.n
     if n == 0:
@@ -159,7 +180,7 @@ def train_dcca(train, config):
     stall = 0
     for epoch in range(config.epochs):
         batch_values = []
-        for idx in stratified_batches(train.categories, config.batch_size, rng):
+        for b, idx in enumerate(stratified_batches(train.categories, config.batch_size, rng)):
             if len(idx) <= config.k:
                 raise ValueError(
                     f"a batch of {len(idx)} samples cannot support k={config.k} "
@@ -170,17 +191,10 @@ def train_dcca(train, config):
             cache_x = mlp_forward(net_x, train.X[:, idx], mode="train", seed=seed_x)
             cache_y = mlp_forward(net_y, train.Y[:, idx], mode="train", seed=seed_y)
             bgroups = GroupIndex.from_labels(train.categories[idx])
-            Hx, Hy = cache_x.output, cache_y.output
             try:
-                value, gx, gy = cca_objective(
-                    Hx, Hy, bgroups, config.beta, config.r, config.k, config.group_weighting
-                )
-            except NoCrossPairsError:
-                warnings.warn(
-                    "batch holds one sample per category; falling back to the "
-                    "pairwise covariance for this batch"
-                )
-                value, gx, gy = cca_objective(Hx, Hy, r=config.r, k=config.k)
+                value, gx, gy = _batch_objective(cache_x.output, cache_y.output, bgroups, config)
+            except ValueError as exc:
+                raise ValueError(f"deep training diverged at epoch {epoch}, batch {b}: {exc}") from exc
             # Adam minimizes; the objective is maximized
             grads_x, _ = mlp_backward(net_x, cache_x, -gx)
             grads_y, _ = mlp_backward(net_y, cache_y, -gy)

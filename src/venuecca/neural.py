@@ -63,18 +63,18 @@ class MlpNetwork:
         self.layers = list(layers)
 
     @classmethod
-    def init(cls, sizes, standardizer, rng, dropout_rate=0.0, output_activation="linear"):
+    def init(cls, sizes, standardizer, rng, dropout_rate=0.0):
         """Glorot-uniform initialization for a tanh net.
 
         sizes runs input -> hidden... -> output. Hidden layers are tanh
-        with the given dropout rate; the last layer uses
-        output_activation and never drops units.
+        with the given dropout rate; the last layer is linear and never
+        drops units.
         """
         layers = []
         for i in range(len(sizes) - 1):
             fan_in, fan_out = sizes[i], sizes[i + 1]
             last = i == len(sizes) - 2
-            act = output_activation if last else "tanh"
+            act = "linear" if last else "tanh"
             gain = 5.0 / 3.0 if act == "tanh" else 1.0
             limit = gain * math.sqrt(6.0 / (fan_in + fan_out))
             layers.append(
@@ -112,7 +112,6 @@ class MlpNetwork:
 class ForwardCache:
     """Everything backward needs: per-layer inputs, activations, masks."""
 
-    mode: str
     inputs: list
     acts: list
     masks: list
@@ -151,7 +150,7 @@ def mlp_forward(net, X, mode="eval", seed=None):
         else:
             masks.append(None)
             D = A
-    return ForwardCache(mode=mode, inputs=inputs, acts=acts, masks=masks, output=D)
+    return ForwardCache(inputs=inputs, acts=acts, masks=masks, output=D)
 
 
 def mlp_backward(net, cache, grad_output):
@@ -216,8 +215,10 @@ class TrainConfig:
             raise ValueError("learning_rate, batch_size and epochs must be positive")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.r < 0 or self.k < 1:
-            raise ValueError("r must be >= 0 and k >= 1")
+        if not 0 <= self.r < math.inf or self.k < 1:
+            raise ValueError("r must be finite and >= 0, and k >= 1")
+        if self.group_weighting not in ("size", "equal"):
+            raise ValueError(f"unknown group_weighting {self.group_weighting!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)

@@ -11,6 +11,7 @@ import filecmp
 import json
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from venuecca.dataio import (
 from venuecca.dcca import cca_objective, train_dcca
 from venuecca.kcca import _center_columns, fit_kcca, gaussian_kernel
 from venuecca.linalg import regularized_covariance
+from venuecca.methods import METHODS, fit
 from venuecca.model_io import load_model
 from venuecca.neural import TrainConfig, mlp_backward, mlp_forward
 from venuecca.retrieval import (
@@ -157,7 +159,6 @@ def test_criterion_02_whitening_constraints_all_methods(report):
         )
     )
     train_set, _ = build_pairs(venues, SplitSpec(seed=0))
-    groups = GroupIndex.from_labels(train_set.categories)
     k, r = 4, 1e-4
     tc = TrainConfig(
         learning_rate=1e-3,
@@ -182,26 +183,21 @@ def test_criterion_02_whitening_constraints_all_methods(report):
 
     worst = {}
     X, Y = train_set.X, train_set.Y
-    for method, beta, g in (("cca", 1.0, None), ("c-cca", 0.3, groups)):
-        model = fit_cca(X, Y, k, r, groups=g, beta=beta)
-        worst[method] = deviation(model, X, Y)
-    for method, beta, g in (("kcca", 1.0, None), ("c-kcca", 0.3, groups)):
-        model = fit_kcca(X, Y, k, r, groups=g, beta=beta)
-        Kx = gaussian_kernel(model.map_x.train, model.map_x.train, model.sigma_x)
-        Ky = gaussian_kernel(model.map_y.train, model.map_y.train, model.sigma_y)
-        worst[method] = deviation(
-            model.head,
-            _center_columns(Kx, model.map_x.mu, model.map_x.grand),
-            _center_columns(Ky, model.map_y.mu, model.map_y.grand),
-        )
-    for method, beta in (("dcca", 1.0), ("c-dcca", 0.3)):
-        cfg = TrainConfig(**{**tc.__dict__, "beta": beta})
-        model = train_dcca(train_set, cfg)
-        worst[method] = deviation(
-            model.head,
-            mlp_forward(model.net_x, X, mode="eval").output,
-            mlp_forward(model.net_y, Y, mode="eval").output,
-        )
+    for method in METHODS:
+        model = fit(method, train_set, replace(tc, beta=0.3 if method.startswith("c-") else 1.0))
+        if method in ("cca", "c-cca"):
+            head, rep_x, rep_y = model, X, Y
+        elif method in ("kcca", "c-kcca"):
+            Kx = gaussian_kernel(model.map_x.train, model.map_x.train, model.sigma_x)
+            Ky = gaussian_kernel(model.map_y.train, model.map_y.train, model.sigma_y)
+            head = model.head
+            rep_x = _center_columns(Kx, model.map_x.mu, model.map_x.grand)
+            rep_y = _center_columns(Ky, model.map_y.mu, model.map_y.grand)
+        else:
+            head = model.head
+            rep_x = mlp_forward(model.net_x, X, mode="eval").output
+            rep_y = mlp_forward(model.net_y, Y, mode="eval").output
+        worst[method] = deviation(head, rep_x, rep_y)
     bad = {m: d for m, d in worst.items() if d > 1e-6}
     report(
         2,

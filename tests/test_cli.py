@@ -242,6 +242,15 @@ class TestEval:
         assert (out / "fold0_report.json").exists()
         assert (out / "fold1_report.json").exists()
 
+    def test_folds_below_one_rejected(self, dataset, tmp_path, capsys):
+        rc = main(
+            ["eval", "--manifest", str(dataset), "--method", "cca",
+             "--k", "2", "--folds", "0", "--out", str(tmp_path / "ev")]
+        )
+        assert rc == 1
+        assert "--folds" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -351,6 +360,22 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "bad.vidx" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_malformed_manifest_is_an_error_not_a_traceback(self, dataset, tmp_path):
+        manifest = json.loads(dataset.read_text())
+        del manifest["venues"][2]["lat"]
+        bad = dataset.parent / "bad_manifest.json"
+        bad.write_text(json.dumps(manifest))
+        proc = subprocess.run(
+            [sys.executable, "-m", "venuecca.cli", "train", "--manifest", str(bad),
+             "--method", "cca", "--out", str(tmp_path / "x.vcca")] + TINY_TRAIN,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "bad_manifest.json" in proc.stderr
+        assert "venue entry 2 lacks key 'lat'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_unknown_method_rejected(self, dataset, tmp_path):

@@ -162,6 +162,26 @@ class TestManifestRoundTrip:
         with pytest.raises(DatasetError, match="category"):
             load_dataset(tmp_path / "manifest.json")
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: m["venues"][1].__delitem__("lat"), r"venue entry 1 lacks key 'lat'"),
+            (lambda m: m["venues"][0].__delitem__("id"), r"venue entry 0 lacks key 'id'"),
+            (lambda m: m.update(venues=5), r"'venues' is not a list"),
+            (lambda m: m["venues"].__setitem__(1, 5), r"venue entry 1 is malformed"),
+            (lambda m: [m], r"expected a JSON object, got list"),
+        ],
+        ids=["no-lat", "no-id", "venues-not-a-list", "entry-not-an-object", "manifest-not-an-object"],
+    )
+    def test_malformed_entry_is_named(self, tmp_path, edit, message):
+        write_dataset([make_venue("a"), make_venue("b", seed=1)], tmp_path / "manifest.json")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        replaced = edit(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest if replaced is None else replaced))
+        with pytest.raises(DatasetError, match=message) as info:
+            load_dataset(tmp_path / "manifest.json")
+        assert "manifest.json" in str(info.value)
+
 
 class TestBuildPairs:
     def test_counting_example(self):

@@ -2,8 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from venuecca import dcca
 from venuecca.cca import GroupIndex, blend_partners
-from venuecca.dataio import PairedDataset
+from venuecca.dataio import PairedDataset, SplitSpec, SynthConfig, build_pairs, synth_generate
 from venuecca.dcca import cca_objective, stratified_batches, train_dcca
 from venuecca.linalg import inv_sqrt_sym, regularized_covariance
 from venuecca.neural import TrainConfig
@@ -290,6 +291,22 @@ class TestTrainDcca:
         train = make_dataset(14, n=30)
         with pytest.raises(ValueError, match="batch_size"):
             train_dcca(train, small_config(batch_size=2, k=2))
+
+    def test_diverging_run_names_epoch_and_batch(self):
+        venues = synth_generate(SynthConfig(seed=0))
+        train, _ = build_pairs(venues, SplitSpec(seed=0))
+        cfg = TrainConfig(learning_rate=1e300, hidden_sizes=(16,), k=4)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ValueError, match="diverged at epoch 0, batch 1"):
+                train_dcca(train, cfg)
+
+    def test_non_finite_objective_names_epoch_and_batch(self, monkeypatch):
+        def nan_objective(Hx, Hy, *args, **kwargs):
+            return np.nan, np.zeros_like(Hx), np.zeros_like(Hy)
+
+        monkeypatch.setattr(dcca, "cca_objective", nan_objective)
+        with pytest.raises(ValueError, match="diverged at epoch 0, batch 0: .*not finite"):
+            train_dcca(make_dataset(16), small_config())
 
     def test_history_epochs_are_contiguous(self):
         train = make_dataset(15)

@@ -252,6 +252,9 @@ class TestTrainConfig:
             {"r": -1.0},
             {"k": 0},
             {"dropout_rate": 1.0},
+            {"r": float("inf")},
+            {"r": float("nan")},
+            {"group_weighting": "median"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
