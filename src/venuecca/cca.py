@@ -28,47 +28,44 @@ class NoCrossPairsError(ValueError):
 
 
 class GroupIndex:
-    """Maps category ids to sample indices; together they partition 0..n-1."""
+    """A partition of samples 0..n-1 into categories: the sorted category
+    ids ``keys``, each sample's position in them ``codes``, and ``counts``."""
 
     def __init__(self, groups, n_samples):
-        self.n_samples = int(n_samples)
-        self.groups = {}
-        seen = np.zeros(self.n_samples, dtype=bool)
-        for key in sorted(groups):
+        keys = sorted(groups)
+        codes = np.full(int(n_samples), -1)
+        for code, key in enumerate(keys):
             idx = np.asarray(groups[key], dtype=int)
             if idx.size == 0:
                 raise ValueError(f"group {key!r} is declared but empty")
-            if idx.min() < 0 or idx.max() >= self.n_samples:
+            if idx.min() < 0 or idx.max() >= codes.size:
                 raise ValueError(f"group {key!r} holds out-of-range indices")
-            if seen[idx].any():
+            if (codes[idx] >= 0).any() or np.unique(idx).size < idx.size:
                 raise ValueError("groups overlap: some sample appears twice")
-            seen[idx] = True
-            self.groups[key] = np.sort(idx)
-        if not seen.all():
+            codes[idx] = code
+        if (codes < 0).any():
             raise ValueError("groups do not cover every sample")
+        self._set(np.array(keys), codes)
 
     @classmethod
     def from_labels(cls, labels):
-        labels = np.asarray(labels)
-        groups = {
-            int(c): np.flatnonzero(labels == c) for c in np.unique(labels)
-        }
-        return cls(groups, len(labels))
+        out = cls.__new__(cls)
+        out._set(*np.unique(labels, return_inverse=True))
+        return out
+
+    def _set(self, keys, codes):
+        self.keys, self.codes = keys, codes
+        self.counts = np.bincount(codes, minlength=len(keys))
+        self.n_samples = len(codes)
 
     def __len__(self):
-        return len(self.groups)
-
-    def items(self):
-        return self.groups.items()
+        return len(self.keys)
 
     def sizes(self):
-        return {key: len(idx) for key, idx in self.groups.items()}
+        return dict(zip(self.keys.tolist(), self.counts.tolist()))
 
     def label_array(self):
-        out = np.empty(self.n_samples, dtype=int)
-        for key, idx in self.groups.items():
-            out[idx] = key
-        return out
+        return self.keys[self.codes]
 
 
 def blend_partners(phi, groups, beta, group_weighting="size"):
@@ -90,28 +87,22 @@ def blend_partners(phi, groups, beta, group_weighting="size"):
         raise ValueError(f"unknown group_weighting {group_weighting!r}")
     if groups is None or beta == 1.0:
         return phi / phi.shape[1]
-    n = groups.n_samples
-    sizes = groups.sizes()
-    n_cross = sum(sz >= 2 for sz in sizes.values())
+    codes, counts = groups.codes, groups.counts
+    cross = counts >= 2
+    n_cross = np.count_nonzero(cross)
     if not n_cross:
         raise NoCrossPairsError(
             "every group is a singleton: no cross-venue pairs exist for beta < 1"
         )
-    n2_total = sum(sz * (sz - 1) for sz in sizes.values())
-    a = np.zeros(n)
-    b = np.zeros(n)
-    S = np.empty_like(phi)
-    for g, idx in groups.items():
-        sz = sizes[g]
-        S[:, idx] = phi[:, idx].sum(axis=1, keepdims=True)
-        if group_weighting == "size":
-            a[idx] = 1.0 / n
-            if sz >= 2:
-                b[idx] = 1.0 / n2_total
-        else:
-            a[idx] = 1.0 / (len(sizes) * sz)
-            if sz >= 2:
-                b[idx] = 1.0 / (n_cross * sz * (sz - 1))
+    pairs = counts * (counts - 1)
+    if group_weighting == "size":
+        a = np.full(len(counts), 1.0 / groups.n_samples)
+        b = np.where(cross, 1.0 / pairs.sum(), 0.0)
+    else:
+        a = 1.0 / (len(counts) * counts)
+        b = np.divide(1.0, n_cross * pairs, out=np.zeros(len(counts)), where=cross)
+    S = (phi @ np.eye(len(counts))[codes])[:, codes]
+    a, b = a[codes], b[codes]
     return beta * (phi * a) + (1.0 - beta) * ((S - phi) * b)
 
 

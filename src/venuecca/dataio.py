@@ -334,13 +334,24 @@ def write_dataset(venues, manifest_path):
         fh.write("\n")
 
 
+def _manifest_number(obj, key, kind, where):
+    """obj[key] converted by kind (int or float); a DatasetError that names
+    where and the key if it does not convert."""
+    value = obj[key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise DatasetError(f"{where}: {key!r} must be a number, got {value!r}") from None
+
+
 def load_dataset(manifest_path):
     """Load a manifest and every feature file it references.
 
     Returns VenueRecords sorted by venue_id. Raises DatasetError with a
     distinct message for a missing file, a dimension mismatch, a duplicate
     venue id, an out-of-range category, a manifest that is not an object,
-    or a venue entry that lacks a key or is not an object.
+    a venue entry that lacks a key or is not an object, or a dimension,
+    category or coordinate that is not a number.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -352,7 +363,7 @@ def load_dataset(manifest_path):
     for key in ("dim_x", "dim_y", "venues"):
         if key not in manifest:
             raise DatasetError(f"manifest lacks required key {key!r}")
-    dim_x, dim_y = int(manifest["dim_x"]), int(manifest["dim_y"])
+    dim_x, dim_y = (_manifest_number(manifest, key, int, manifest_path) for key in ("dim_x", "dim_y"))
     base = manifest_path.parent
     records = []
     seen = set()
@@ -379,15 +390,12 @@ def load_dataset(manifest_path):
                 photos = np.vstack(photo_rows)
             else:
                 photos = np.empty((0, dim_x))
+            category, lat, lon = (
+                _manifest_number(entry, key, kind, f"{manifest_path}: venue entry {i}")
+                for key, kind in (("category", int), ("lat", float), ("lon", float))
+            )
             records.append(
-                VenueRecord(
-                    venue_id=vid,
-                    category=entry["category"],
-                    lat=float(entry["lat"]),
-                    lon=float(entry["lon"]),
-                    text=text[0],
-                    photos=photos,
-                )
+                VenueRecord(venue_id=vid, category=category, lat=lat, lon=lon, text=text[0], photos=photos)
             )
     except KeyError as e:
         raise DatasetError(f"{manifest_path}: venue entry {i} lacks key {e.args[0]!r}") from None

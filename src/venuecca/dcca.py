@@ -110,25 +110,21 @@ class DeepCcaModel(MappedCcaModel):
 def stratified_batches(categories, batch_size, rng):
     """Deal samples into ceil(n / batch_size) category-balanced batches.
 
-    Members of each category are shuffled, then dealt round-robin across
-    the batches, so every batch holds its proportional share of each
-    category (within one sample). Batch order and contents are
+    Members of each category are shuffled and laid end to end, category
+    by category; batch b takes every n_batches-th of them from position
+    b. That deals them round-robin, so every batch holds its proportional
+    share of each category (within one sample). Batch order and contents are
     deterministic given the rng state.
     """
     categories = np.asarray(categories)
-    n = len(categories)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    n_batches = math.ceil(n / batch_size)
-    buckets = [[] for _ in range(n_batches)]
-    j = 0
-    for c in np.unique(categories):
-        members = np.flatnonzero(categories == c)
+    n_batches = math.ceil(len(categories) / batch_size)
+    _, counts = np.unique(categories, return_counts=True)
+    dealt = np.argsort(categories, kind="stable")
+    for members in np.split(dealt, np.cumsum(counts)[:-1]):
         rng.shuffle(members)
-        for i in members:
-            buckets[j % n_batches].append(int(i))
-            j += 1
-    return [np.array(b, dtype=int) for b in buckets]
+    return [dealt[b::n_batches] for b in range(n_batches)]
 
 
 def _batch_objective(Hx, Hy, groups, config):
@@ -158,7 +154,8 @@ def train_dcca(train, config):
     than config.tol for config.patience consecutive epochs. Fixed seed
     means bit-identical history. A batch whose CCA solve fails, or
     whose objective or gradient is not finite, raises a ValueError that
-    names its epoch and batch.
+    names its epoch and batch; a failing final head fit names the last
+    epoch.
     """
     n = train.n
     if n == 0:
@@ -211,13 +208,18 @@ def train_dcca(train, config):
         prev_mean = epoch_mean
     Hx, Hy = net_x(train.X), net_y(train.Y)
     try:
-        head = fit_cca(Hx, Hy, config.k, config.r, groups_full, config.beta, config.group_weighting)
-    except NoCrossPairsError:
-        warnings.warn(
-            "training set holds one sample per category; head falls back to "
-            "the pairwise covariance"
-        )
-        head = fit_cca(Hx, Hy, config.k, config.r)
+        try:
+            head = fit_cca(Hx, Hy, config.k, config.r, groups_full, config.beta, config.group_weighting)
+        except NoCrossPairsError:
+            warnings.warn(
+                "training set holds one sample per category; head falls back to "
+                "the pairwise covariance"
+            )
+            head = fit_cca(Hx, Hy, config.k, config.r)
+    except ValueError as exc:
+        raise ValueError(
+            f"deep training diverged: the final head fit after epoch {epoch} failed: {exc}"
+        ) from exc
     return DeepCcaModel(
         net_x=net_x,
         net_y=net_y,

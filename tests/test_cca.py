@@ -11,6 +11,7 @@ from venuecca.cca import (
     combined_cross_covariance,
     fit_cca,
 )
+from venuecca.dataio import SplitSpec, SynthConfig, build_pairs, synth_generate
 from venuecca.linalg import NotPositiveDefiniteError, regularized_covariance
 
 
@@ -71,6 +72,19 @@ class TestGroupIndex:
         with pytest.raises(ValueError, match="empty"):
             GroupIndex({1: [0, 1], 2: []}, 2)
 
+    def test_sample_twice_within_one_group_rejected(self):
+        with pytest.raises(ValueError, match="groups overlap: some sample appears twice"):
+            GroupIndex({1: [0, 0, 1], 2: [2]}, 3)
+
+    def test_dict_and_labels_give_the_same_codes(self):
+        by_dict = GroupIndex({7: [3, 1], 2: [4, 0, 2]}, 5)
+        by_labels = GroupIndex.from_labels([2, 7, 2, 7, 2])
+        for g in (by_dict, by_labels):
+            npt.assert_array_equal(g.keys, [2, 7])
+            npt.assert_array_equal(g.codes, [0, 1, 0, 1, 0])
+            npt.assert_array_equal(g.counts, [3, 2])
+            assert len(g) == 2 and g.n_samples == 5
+
 
 class TestCombinedCrossCovariance:
     def test_beta_one_is_plain_pairwise(self):
@@ -106,6 +120,18 @@ class TestCombinedCrossCovariance:
         phi_y = centered(rng, 3, 7)
         labels = [1, 1, 1, 2, 3, 3, 3]  # category 2 is a singleton
         groups = GroupIndex.from_labels(labels)
+        C = combined_cross_covariance(phi_x, phi_y, groups, beta=0.4, group_weighting=weighting)
+        npt.assert_allclose(C, brute_force_combined(phi_x, phi_y, labels, 0.4, weighting), atol=1e-12)
+
+    @pytest.mark.parametrize("weighting", ["size", "equal"])
+    def test_dict_built_groups_match_brute_force(self, weighting):
+        rng = np.random.default_rng(3)
+        phi_x = centered(rng, 4, 9)
+        phi_y = centered(rng, 3, 9)
+        # keys inserted out of order, non-contiguous ids, 5 a singleton
+        groups = GroupIndex({7: [8, 1, 4, 0], 5: [6], 2: [3, 2, 7, 5]}, 9)
+        labels = [7, 7, 2, 2, 7, 2, 5, 2, 7]
+        npt.assert_array_equal(groups.label_array(), labels)
         C = combined_cross_covariance(phi_x, phi_y, groups, beta=0.4, group_weighting=weighting)
         npt.assert_allclose(C, brute_force_combined(phi_x, phi_y, labels, 0.4, weighting), atol=1e-12)
 
@@ -270,3 +296,49 @@ class TestCcaTransform:
             model.project(np.zeros((5, 2)), "image")
         with pytest.raises(ValueError, match="side"):
             cca_transform(model, np.zeros((4, 2)), "photo")
+
+
+@pytest.fixture(scope="module")
+def synth_train():
+    """The default synthetic corpus: 450 training pairs in 10 categories."""
+    train, _ = build_pairs(synth_generate(SynthConfig(seed=0)), SplitSpec(seed=0))
+    return train.X, train.Y, np.asarray(train.categories)
+
+
+@pytest.mark.parametrize("weighting", ["size", "equal"])
+class TestCategoryCcaInvariance:
+    """c-cca's correlations do not depend on the order of the pairs, on
+    which ids name the categories, or (at r=0) on an affine map of a view."""
+
+    @staticmethod
+    def rho(X, Y, labels, weighting, r=1e-4):
+        return fit_cca(X, Y, 10, r, GroupIndex.from_labels(labels), 0.3, weighting).rho
+
+    def test_pair_permutation(self, synth_train, weighting):
+        X, Y, cats = synth_train
+        perm = np.random.default_rng(0).permutation(len(cats))
+        npt.assert_allclose(
+            self.rho(X[:, perm], Y[:, perm], cats[perm], weighting),
+            self.rho(X, Y, cats, weighting),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_relabelling_that_reverses_key_order(self, synth_train, weighting):
+        X, Y, cats = synth_train
+        npt.assert_allclose(
+            self.rho(X, Y, 100 - cats, weighting), self.rho(X, Y, cats, weighting), rtol=0, atol=1e-12
+        )
+
+    def test_affine_map_of_a_view_at_r0(self, synth_train, weighting):
+        X, Y, cats = synth_train
+        rng = np.random.default_rng(1)
+        d = X.shape[0]
+        A = np.eye(d) + rng.standard_normal((d, d)) / (2 * np.sqrt(d))
+        b = rng.standard_normal((d, 1))
+        npt.assert_allclose(
+            self.rho(A @ X + b, Y, cats, weighting, r=0.0),
+            self.rho(X, Y, cats, weighting, r=0.0),
+            rtol=0,
+            atol=1e-12,
+        )

@@ -378,6 +378,22 @@ class TestEntryPoint:
         assert "venue entry 2 lacks key 'lat'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_null_dimension_is_an_error_not_a_traceback(self, dataset, tmp_path):
+        manifest = json.loads(dataset.read_text())
+        manifest["dim_x"] = None
+        bad = dataset.parent / "null_dim.json"
+        bad.write_text(json.dumps(manifest))
+        proc = subprocess.run(
+            [sys.executable, "-m", "venuecca.cli", "train", "--manifest", str(bad),
+             "--method", "cca", "--out", str(tmp_path / "x.vcca")] + TINY_TRAIN,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "null_dim.json" in proc.stderr
+        assert "'dim_x' must be a number, got None" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_method_rejected(self, dataset, tmp_path):
         with pytest.raises(SystemExit):
             main(

@@ -170,8 +170,15 @@ class TestManifestRoundTrip:
             (lambda m: m.update(venues=5), r"'venues' is not a list"),
             (lambda m: m["venues"].__setitem__(1, 5), r"venue entry 1 is malformed"),
             (lambda m: [m], r"expected a JSON object, got list"),
+            (lambda m: m["venues"][1].update(lat="north"), r"venue entry 1: 'lat' must be a number, got 'north'"),
+            (lambda m: m["venues"][0].update(lon=None), r"venue entry 0: 'lon' must be a number, got None"),
+            (lambda m: m["venues"][1].update(category="abc"), r"venue entry 1: 'category' must be a number, got 'abc'"),
+            (lambda m: m.update(dim_x="abc"), r"'dim_x' must be a number, got 'abc'"),
+            (lambda m: m.update(dim_y=None), r"'dim_y' must be a number, got None"),
+            (lambda m: m.update(dim_x=[4]), r"'dim_x' must be a number, got \[4\]"),
         ],
-        ids=["no-lat", "no-id", "venues-not-a-list", "entry-not-an-object", "manifest-not-an-object"],
+        ids=["no-lat", "no-id", "venues-not-a-list", "entry-not-an-object", "manifest-not-an-object",
+             "lat-string", "lon-null", "category-string", "dim-string", "dim-null", "dim-list"],
     )
     def test_malformed_entry_is_named(self, tmp_path, edit, message):
         write_dataset([make_venue("a"), make_venue("b", seed=1)], tmp_path / "manifest.json")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +9,7 @@ from venuecca.cca import GroupIndex, blend_partners
 from venuecca.dataio import PairedDataset, SplitSpec, SynthConfig, build_pairs, synth_generate
 from venuecca.dcca import cca_objective, stratified_batches, train_dcca
 from venuecca.linalg import inv_sqrt_sym, regularized_covariance
-from venuecca.neural import TrainConfig
+from venuecca.neural import MlpNetwork, TrainConfig
 
 
 def make_dataset(seed, n=40, d_x=6, d_y=5, n_cats=4, coupled=True):
@@ -201,7 +203,38 @@ class TestCcaObjective:
             cca_objective(rng.standard_normal((3, 10)), np.full((3, 10), np.nan))
 
 
+def round_robin_batches(categories, batch_size, rng):
+    """Written-out reference: deal each category's shuffled members one
+    sample at a time across the batches."""
+    n_batches = math.ceil(len(categories) / batch_size)
+    buckets = [[] for _ in range(n_batches)]
+    j = 0
+    for c in np.unique(categories):
+        members = np.flatnonzero(categories == c)
+        rng.shuffle(members)
+        for i in members:
+            buckets[j % n_batches].append(int(i))
+            j += 1
+    return [np.array(b, dtype=int) for b in buckets]
+
+
 class TestStratifiedBatches:
+    @pytest.mark.parametrize(
+        "n,batch_size,n_cats",
+        [(60, 20, 3), (37, 5, 4), (450, 100, 10), (23, 7, 1), (19, 4, 19), (5, 10, 2)],
+        ids=["even", "ragged", "trend-size", "one-category", "one-per-category", "one-batch"],
+    )
+    def test_matches_round_robin_reference(self, n, batch_size, n_cats):
+        cats = 1 + np.random.default_rng(n).permutation(np.arange(n) % n_cats)
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2):  # consecutive epochs draw from the same rng
+            got = stratified_batches(cats, batch_size, got_rng)
+            want = round_robin_batches(cats, batch_size, want_rng)
+            assert len(got) == len(want) == math.ceil(n / batch_size)
+            for g, w in zip(got, want):
+                npt.assert_array_equal(g, w)
+        assert got_rng.integers(2**63) == want_rng.integers(2**63)
+
     def test_partition_and_balance(self):
         rng = np.random.default_rng(8)
         cats = np.array([1] * 30 + [2] * 20 + [3] * 10)
@@ -307,6 +340,15 @@ class TestTrainDcca:
         monkeypatch.setattr(dcca, "cca_objective", nan_objective)
         with pytest.raises(ValueError, match="diverged at epoch 0, batch 0: .*not finite"):
             train_dcca(make_dataset(16), small_config())
+
+    def test_failing_final_head_fit_names_the_last_epoch(self, monkeypatch):
+        # the loop trains through mlp_forward; only the head fit after it
+        # runs the networks in eval mode
+        monkeypatch.setattr(MlpNetwork, "__call__", lambda net, X: np.full((2, X.shape[1]), np.inf))
+        with pytest.raises(
+            ValueError, match="diverged: the final head fit after epoch 1 failed: X holds NaN or inf"
+        ):
+            train_dcca(make_dataset(16), small_config(epochs=2))
 
     def test_history_epochs_are_contiguous(self):
         train = make_dataset(15)
