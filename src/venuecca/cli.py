@@ -29,7 +29,7 @@ from .kcca import KernelCcaModel
 from .methods import METHODS, fit, resolve_beta
 from .model_io import load_index, load_model, save_index, save_model
 from .neural import TrainConfig
-from .retrieval import GeoFilter, build_index, evaluate, rank_venues
+from .retrieval import GeoFilter, build_index, evaluate, rank_photos
 
 
 @dataclass
@@ -194,17 +194,20 @@ def cmd_index(args):
 
 
 def cmd_retrieve(args):
-    model = load_model(args.model)
-    index = load_index(args.index)
-    queries = read_feature_file(args.query)
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     geo = None
     if args.geo_radius is not None:
         if args.lat is None or args.lon is None:
             raise ValueError("--geo-radius needs --lat and --lon")
         geo = GeoFilter(lat=args.lat, lon=args.lon, radius_km=args.geo_radius)
+    elif args.lat is not None or args.lon is not None:
+        raise ValueError("--lat and --lon need --geo-radius")
+    model = load_model(args.model)
+    index = load_index(args.index)
+    queries = read_feature_file(args.query)
     rows = []
-    for qi in range(queries.shape[0]):
-        rl = rank_venues(queries[qi], model, index, geo=geo, query_id=str(qi))
+    for qi, rl in enumerate(rank_photos(queries.T, model, index, geo=geo)):
         if rl.empty_after_filter:
             print(f"query {qi}: geo filter excluded every venue")
         for rank, (vid, sc) in enumerate(zip(rl.venue_ids[: args.top], rl.scores), 1):

@@ -13,6 +13,7 @@ from venuecca.dataio import load_dataset, write_container, write_matrix_csv
 from venuecca.dcca import DeepCcaModel
 from venuecca.kcca import KernelCcaModel
 from venuecca.model_io import load_index, load_model
+from venuecca.retrieval import rank_venues
 
 SYNTH_ARGS = [
     "--n-venues", "30",
@@ -199,6 +200,86 @@ class TestIndexRetrieve:
         assert rc == 1
         assert "--lat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "geo_args,message",
+        [
+            (["--geo-radius", "-1", "--lat", "0", "--lon", "0"], "geo radius"),
+            (["--geo-radius", "nan", "--lat", "0", "--lon", "0"], "geo radius"),
+            (["--geo-radius", "1", "--lat", "nan", "--lon", "0"], "geo filter position"),
+            (["--lat", "0", "--lon", "0"], "--geo-radius"),
+            (["--lon", "0"], "--geo-radius"),
+        ],
+    )
+    def test_bad_geo_arguments_rejected(self, tmp_path, capsys, geo_args, message):
+        # rejected before the model, index or queries are read
+        missing = str(tmp_path / "missing")
+        rc = main(
+            ["retrieve", "--model", missing, "--index", missing, "--query", missing] + geo_args
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_zero_radius_is_valid(self, dataset, trained, tmp_path, capsys):
+        model_path, index_path = trained
+        venues = load_dataset(dataset)
+        qfile = tmp_path / "q.csv"
+        write_matrix_csv(qfile, venues[0].photos[0][None, :])
+        rc = main(
+            ["retrieve", "--model", str(model_path), "--index", str(index_path),
+             "--query", str(qfile), "--lat", repr(venues[0].lat),
+             "--lon", repr(venues[0].lon), "--geo-radius", "0"]
+        )
+        assert rc == 0
+        assert f"query 0 rank 1: {venues[0].venue_id}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_rejected(self, tmp_path, capsys, top):
+        missing = str(tmp_path / "missing")
+        rc = main(
+            ["retrieve", "--model", missing, "--index", missing, "--query", missing,
+             "--top", top]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --top must be >= 1") and captured.out == ""
+
+    def test_non_finite_query_is_an_error(self, dataset, trained, tmp_path, capsys):
+        model_path, index_path = trained
+        venues = load_dataset(dataset)
+        queries = np.stack([venues[0].photos[0], venues[1].photos[0]])
+        queries[1, 2] = np.nan
+        qfile = tmp_path / "q.csv"
+        write_matrix_csv(qfile, queries)
+        rc = main(
+            ["retrieve", "--model", str(model_path), "--index", str(index_path),
+             "--query", str(qfile)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: query 1 projects to a non-finite vector")
+
+    def test_retrieve_matches_rank_venues(self, dataset, trained, tmp_path, capsys):
+        model_path, index_path = trained
+        venues = load_dataset(dataset)
+        queries = np.stack([v.photos[1] for v in venues[:5]])
+        qfile = tmp_path / "q.csv"
+        write_matrix_csv(qfile, queries)
+        out_csv = tmp_path / "ranks.csv"
+        rc = main(
+            ["retrieve", "--model", str(model_path), "--index", str(index_path),
+             "--query", str(qfile), "--top", "4", "--out", str(out_csv)]
+        )
+        assert rc == 0
+        model, index = load_model(model_path), load_index(index_path)
+        rows = [line.split(",") for line in out_csv.read_text().split("\n")[1:-1]]
+        want = []
+        for qi, photo in enumerate(queries):
+            rl = rank_venues(photo, model, index)
+            want += [(qi, rank, vid, sc) for rank, (vid, sc) in enumerate(zip(rl.venue_ids[:4], rl.scores), 1)]
+        assert [(int(q), int(r), v) for q, r, v, _ in rows] == [w[:3] for w in want]
+        np.testing.assert_allclose([float(s) for *_, s in rows], [w[3] for w in want], rtol=0, atol=1e-12)
+
 
 class TestEval:
     def test_writes_reports(self, dataset, tmp_path):
@@ -277,6 +358,17 @@ class TestEval:
         assert flag in err and "--model" in err
         assert "cca" not in err.replace("vcca", "")
 
+    def test_negative_geo_radius_rejected(self, dataset, tmp_path, capsys):
+        model_path = tmp_path / "m.vcca"
+        train(dataset, model_path, "cca")
+        capsys.readouterr()
+        rc = main(
+            ["eval", "--manifest", str(dataset), "--model", str(model_path),
+             "--geo-radius", "-1", "--out", str(tmp_path / "ev")]
+        )
+        assert rc == 1
+        assert "geo radius must be a finite number" in capsys.readouterr().err
+
     def test_needs_model_or_method(self, dataset, tmp_path, capsys):
         rc = main(["eval", "--manifest", str(dataset), "--out", str(tmp_path / "e")])
         assert rc == 1
@@ -300,9 +392,10 @@ class TestEval:
 
 
 class TestEntryPoint:
-    def test_module_help_runs(self):
+    @pytest.mark.parametrize("module", ["venuecca.cli", "venuecca"])
+    def test_module_help_runs(self, module):
         proc = subprocess.run(
-            [sys.executable, "-m", "venuecca.cli", "--help"],
+            [sys.executable, "-m", module, "--help"],
             capture_output=True,
             text=True,
         )

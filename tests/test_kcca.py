@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from venuecca.cca import GroupIndex, fit_cca
+from venuecca.dataio import SplitSpec, SynthConfig, build_pairs, synth_generate
 from venuecca.kcca import (
     fit_kcca,
     gaussian_kernel,
@@ -174,3 +175,23 @@ class TestKccaProject:
             model.project(X, "photo")
         with pytest.raises(ValueError, match="expects"):
             model.project(np.zeros((4, 3)), "image")
+
+
+class TestCategoryKccaInvariance:
+    def test_pair_permutation(self):
+        """c-kcca's correlations, and its projections up to the sign of each
+        component, do not depend on the order of the training pairs."""
+        train, test = build_pairs(synth_generate(SynthConfig(seed=0)), SplitSpec(seed=0))
+        cats = np.asarray(train.categories)
+        perm = np.random.default_rng(0).permutation(train.n)
+
+        def fit(X, Y, labels):
+            return fit_kcca(X, Y, 10, 1e-4, groups=GroupIndex.from_labels(labels), beta=0.3)
+
+        a = fit(train.X, train.Y, cats)
+        b = fit(train.X[:, perm], train.Y[:, perm], cats[perm])
+        npt.assert_allclose(b.rho, a.rho, rtol=0, atol=1e-12)
+        for side, Z in (("image", test.X), ("text", test.Y)):
+            Pa, Pb = a.project(Z, side), b.project(Z, side)
+            sign = np.sign(np.sum(Pa * Pb, axis=1, keepdims=True))
+            npt.assert_allclose(Pb, sign * Pa, rtol=0, atol=1e-9)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -111,6 +112,11 @@ class TestIndex:
                 vectors=np.zeros((3, 2)),
             )
 
+    def test_non_finite_vectors_rejected(self):
+        # a nan score would sort after the +inf keys of filtered-out venues
+        with pytest.raises(ValueError, match="not finite"):
+            make_index(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="count"):
             VenueIndex(
@@ -182,6 +188,11 @@ class TestRankVenues:
         r2 = rank(photo, index)
         assert r1.venue_ids == r2.venue_ids
         npt.assert_array_equal(r1.scores, r2.scores)
+
+    def test_non_finite_query_is_named(self):
+        index = make_index(np.eye(3))
+        with pytest.raises(ValueError, match="query q7 projects to a non-finite vector"):
+            rank(np.array([0.0, np.nan, 1.0]), index, query_id="q7")
 
     def test_weight_by_rho_changes_order(self):
         model = LinearCcaModel(
@@ -467,14 +478,17 @@ class TestEvaluate:
         assert len(lines) == 1 + len(report.cutoffs)
 
     def test_average_precision_once_per_query(self, monkeypatch):
-        calls = []
-        real = retrieval.average_precision
+        # evaluate computes AP for a chunk of queries at a time; no query
+        # may pass through the metric helper twice
+        rows = []
+        real = retrieval._query_metrics
         monkeypatch.setattr(
-            retrieval, "average_precision", lambda rl: calls.append(rl) or real(rl)
+            retrieval, "_query_metrics", lambda rel, *a: rows.append(rel.shape[0]) or real(rel, *a)
         )
+        monkeypatch.setattr(retrieval, "CHUNK_ELEMENTS", 7 * 40)
         test = self.make_test_set()
         evaluate(identity_model(3), self.make_parallel_index(test), test)
-        assert len(calls) == test.n
+        assert len(rows) == 6 and sum(rows) == test.n
 
     def test_position_noise_is_seeded(self):
         test = self.make_test_set(seed=10)
@@ -486,3 +500,159 @@ class TestEvaluate:
             r1 = evaluate(identity_model(3), index, test, **kwargs)
             r2 = evaluate(identity_model(3), index, test, **kwargs)
         assert r1.mrr1 == r2.mrr1 and r1.map == r2.map
+
+    def test_non_finite_query_is_named(self):
+        test = self.make_test_set()
+        test.X[1, 5] = np.nan
+        with pytest.raises(ValueError, match="query 5 projects to a non-finite vector"):
+            evaluate(identity_model(3), self.make_parallel_index(test), test)
+
+    def test_bad_radius_rejected_before_ranking(self, monkeypatch):
+        test = self.make_test_set()
+        monkeypatch.setattr(retrieval, "_ranked_chunks", None)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="geo radius"):
+                evaluate(identity_model(3), self.make_parallel_index(test), test, geo_radius_km=bad)
+
+
+class TestGeoFilter:
+    @pytest.mark.parametrize(
+        "lat,lon,radius", [(0.0, 0.0, -1.0), (0.0, 0.0, math.nan), (0.0, 0.0, math.inf),
+                           (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0)]
+    )
+    def test_rejects_bad_values(self, lat, lon, radius):
+        with pytest.raises(ValueError, match="geo"):
+            GeoFilter(lat, lon, radius)
+
+    def test_zero_radius_admits_only_the_exact_position(self):
+        index = make_index(np.eye(2), coords=[[1.0, 2.0], [1.0, 2.001]])
+        rl = rank(np.array([1.0, 1.0]), index, geo=GeoFilter(1.0, 2.0, 0.0))
+        assert rl.venue_ids == ["v000"]
+
+
+def quantised_case(seed=13, n=60, m=45, far_every=None):
+    """An index with shuffled ids and integer vectors (so cosines tie), and a
+    test set of integer photos whose truth ids include one the index lacks
+    and whose categories include one no venue has."""
+    rng = np.random.default_rng(seed)
+    centre = np.array([10.0, 20.0])
+    index = VenueIndex(
+        venue_ids=[f"v{i:03d}" for i in rng.permutation(n)],
+        categories=rng.integers(1, 4, n),
+        coords=centre + rng.uniform(-0.02, 0.02, (n, 2)),
+        vectors=rng.integers(-1, 2, (3, n)).astype(float),
+    )
+    truth = rng.integers(0, n, m)
+    coords = index.coords[truth].copy()
+    if far_every:
+        coords[::far_every] = [-60.0, 100.0]
+    test = PairedDataset(
+        X=rng.integers(-1, 2, (3, m)).astype(float),
+        Y=np.zeros((3, m)),
+        venue_ids=[index.venue_ids[j] for j in truth[:-1]] + ["absent"],
+        categories=np.concatenate([index.categories[truth[:-2]], [9, 9]]),
+        coords=coords,
+    )
+    return index, test
+
+
+def reference_evaluate(index, test, radius, weight, noise_km=0.0, seed=0):
+    """The rankings evaluate scores, one photo at a time through
+    key_sort_reference, with the position noise drawn one scalar at a time."""
+    rng = np.random.default_rng(seed)
+    deg_per_km = 180.0 / (np.pi * 6371.0)
+    ranklists = []
+    for i in range(test.n):
+        geo = None
+        if radius is not None:
+            lat, lon = test.coords[i]
+            if noise_km > 0.0:
+                lat = lat + rng.normal(0.0, noise_km) * deg_per_km
+                lon = lon + rng.normal(0.0, noise_km) * deg_per_km / np.cos(np.radians(lat))
+            geo = GeoFilter(float(lat), float(lon), radius)
+        rows = key_sort_reference(test.X[:, i], index, geo, weight)
+        ranklists.append(
+            RankList(
+                query_id=str(i),
+                venue_ids=[r[1] for r in rows],
+                scores=np.array([r[0] for r in rows]),
+                categories=np.array([r[2] for r in rows], dtype=int),
+                true_venue_id=test.venue_ids[i],
+                true_category=int(test.categories[i]),
+            )
+        )
+    return ranklists
+
+
+class TestEvaluateAgainstReference:
+    CASES = {
+        "no-filter": dict(),
+        "1km": dict(geo_radius_km=1.0),
+        "filter-empties-some-pools": dict(geo_radius_km=1.0, far_every=4),
+        "weight-by-rho": dict(weight_by_rho=True),
+        "position-noise": dict(geo_radius_km=1.0, position_noise_km=0.5, seed=3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_query_reference(self, case):
+        kwargs = dict(self.CASES[case])
+        index, test = quantised_case(far_every=kwargs.pop("far_every", None))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = evaluate(identity_model(3), index, test, **kwargs)
+        ranklists = reference_evaluate(
+            index,
+            test,
+            kwargs.get("geo_radius_km"),
+            kwargs.get("weight_by_rho", False),
+            kwargs.get("position_noise_km", 0.0),
+            kwargs.get("seed", 0),
+        )
+        ref_mrr, ref_map, ref_curve = reference_metrics(ranklists, report.cutoffs)
+        assert report.mrr1 == pytest.approx(ref_mrr, rel=0, abs=1e-12)
+        assert report.map == pytest.approx(ref_map, rel=0, abs=1e-12)
+        npt.assert_allclose(report.recall_precision, ref_curve, rtol=0, atol=1e-12)
+        scored = [rl for rl in ranklists if (rl.categories == rl.true_category).any()]
+        ref_per_cat = {
+            c: reference_metrics([rl for rl in scored if rl.true_category == c], [1])[1]
+            for c in sorted({rl.true_category for rl in scored})
+        }
+        assert report.per_category_map.keys() == ref_per_cat.keys()
+        for c, value in ref_per_cat.items():
+            assert report.per_category_map[c] == pytest.approx(value, rel=0, abs=1e-12)
+        assert report.n_skipped == len(ranklists) - len(scored) > 0
+        pools = [len(rl.venue_ids) for rl in scored]
+        expected = {"queries had no relevant venue"}
+        if min(pools) < max(report.cutoffs):
+            expected.add("clamped to pool size")
+        got = {key for key in ("queries had no relevant venue", "clamped to pool size")
+               for w in caught if key in str(w.message)}
+        assert got == expected and len(caught) == len(expected)
+        if case == "filter-empties-some-pools":
+            assert sum(not rl.venue_ids for rl in ranklists) >= 10
+
+    def test_shuffled_index_columns_give_identical_report(self):
+        index, test = quantised_case()
+        perm = np.random.default_rng(4).permutation(index.n)
+        shuffled = VenueIndex(
+            venue_ids=[index.venue_ids[j] for j in perm],
+            categories=index.categories[perm],
+            coords=index.coords[perm],
+            vectors=index.vectors[:, perm],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            a = evaluate(identity_model(3), index, test, geo_radius_km=1.0)
+            b = evaluate(identity_model(3), shuffled, test, geo_radius_km=1.0)
+        assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_chunking_does_not_change_report_bytes(self, monkeypatch, rows):
+        index, test = quantised_case(far_every=4)
+        kwargs = dict(geo_radius_km=1.0, position_noise_km=0.5, seed=3, weight_by_rho=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            whole = evaluate(identity_model(3), index, test, **kwargs)
+            monkeypatch.setattr(retrieval, "CHUNK_ELEMENTS", rows * index.n)
+            chunked = evaluate(identity_model(3), index, test, **kwargs)
+        assert chunked.to_json() == whole.to_json()
