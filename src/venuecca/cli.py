@@ -1,15 +1,21 @@
 """Command-line pipeline: synth, train, index, retrieve, eval.
 
-Every command honors --seed and writes a fully resolved config JSON next
-to its outputs, so any run can be replayed exactly. Outputs carry no
-timestamps; repeating a command with the same arguments produces byte
-identical files.
+Each command builds the library's settings (SynthConfig, SplitSpec,
+TrainConfig) from its flags before it reads or writes a file, so a bad
+flag is an error that leaves nothing behind. synth, train and eval take
+--seed. Every command but retrieve writes a config JSON replay record:
+synth to <out>/config.json, train to <model>.config.json, index to
+<index>.config.json and eval to <out>/config.json. A record holds the
+parsed flags plus what the command resolved from them: the beta the
+method runs at, a kernel model's bandwidth and synth's SynthConfig.
+Outputs carry no timestamps; repeating a command with the same arguments
+produces byte identical files.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,63 +32,45 @@ from .dataio import (
 )
 from .dcca import DeepCcaModel
 from .kcca import KernelCcaModel
-from .methods import METHODS, fit, resolve_beta
+from .methods import METHODS, check_sigma, fit, resolve_beta
 from .model_io import load_index, load_model, save_index, save_model
 from .neural import TrainConfig
-from .retrieval import GeoFilter, build_index, evaluate, rank_photos
+from .retrieval import GeoFilter, _check_radius, build_index, evaluate, rank_photos
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved settings for one command run; echoed as JSON."""
-
-    command: str
-    method: str = None
-    manifest: str = None
-    out: str = None
-    seed: int = 0
-    beta: float = None
-    r: float = 1e-4
-    k: int = 10
-    lr: float = 1e-4
-    batch_size: int = 100
-    epochs: int = 50
-    sigma: float = None
-    hidden_sizes: tuple = (1024, 1024)
-    dropout: float = 0.5
-    train_fraction: float = 0.75
-    extra_photo_ratio: float = 0.2
-    group_weighting: str = "size"
-    geo_radius: float = None
-    position_noise_km: float = 0.0
-    weight_by_rho: bool = False
-    folds: int = 1
-    synth: dict = None
-
-    def validate(self):
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("--sigma must be > 0")
-
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+def _write_record(path, args, **resolved):
+    """Write the replay record of a run: its parsed flags plus the values
+    the command resolved from them."""
+    record = {k: v for k, v in vars(args).items() if k != "func"}
+    record.update(resolved)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
-def _train_model(train_set, config):
-    tc = TrainConfig(
-        learning_rate=config.lr,
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        seed=config.seed,
-        r=config.r,
-        beta=config.beta,
-        k=config.k,
-        hidden_sizes=config.hidden_sizes,
-        dropout_rate=config.dropout,
-        group_weighting=config.group_weighting,
+def _split_spec(args):
+    return SplitSpec(
+        seed=args.seed,
+        train_venue_fraction=args.train_fraction,
+        extra_photo_ratio=args.extra_photo_ratio,
     )
-    return fit(config.method, train_set, tc, config.sigma)
+
+
+def _train_config(args):
+    """The TrainConfig of --method, at its beta; rejects sigma it cannot take."""
+    check_sigma(args.method, args.sigma)
+    return TrainConfig(
+        learning_rate=args.lr,
+        batch_size=args.batch_size,
+        epochs=args.epochs,
+        seed=args.seed,
+        r=args.r,
+        beta=resolve_beta(args.method, args.beta),
+        k=args.k,
+        hidden_sizes=args.hidden_sizes,
+        dropout_rate=args.dropout,
+        group_weighting=args.group_weighting,
+    )
 
 
 def _history_csv(model, path):
@@ -110,8 +98,7 @@ def cmd_synth(args):
     out = Path(args.out)
     venues = synth_generate(synth)
     write_dataset(venues, out / "manifest.json")
-    config = RunConfig(command="synth", out=str(out), seed=args.seed, synth=asdict(synth))
-    config.write(out / "config.json")
+    _write_record(out / "config.json", args, synth=asdict(synth))
     n_photos = sum(v.n_photos for v in venues)
     print(
         f"wrote {len(venues)} venues ({n_photos} photos, "
@@ -120,64 +107,22 @@ def cmd_synth(args):
     return 0
 
 
-def _split_and_pairs(config):
-    venues = load_dataset(config.manifest)
-    split = SplitSpec(
-        seed=config.seed,
-        train_venue_fraction=config.train_fraction,
-        extra_photo_ratio=config.extra_photo_ratio,
-    )
-    train_set, test_set = build_pairs(venues, split)
-    return venues, train_set, test_set
-
-
-def _config_from_args(args, command):
-    """Resolve the flags; method None means a saved --model is evaluated."""
-    if args.method is None:
-        for flag, value in (("--beta", args.beta), ("--sigma", args.sigma)):
-            if value is not None:
-                raise ValueError(
-                    f"{flag} sets how a model is trained; --model evaluates a trained model"
-                )
-    config = RunConfig(
-        command=command,
-        method=args.method,
-        manifest=args.manifest,
-        out=args.out,
-        seed=args.seed,
-        beta=None if args.method is None else resolve_beta(args.method, args.beta),
-        r=args.r,
-        k=args.k,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        sigma=args.sigma,
-        hidden_sizes=tuple(int(t) for t in args.hidden_sizes.split(",")),
-        dropout=args.dropout,
-        train_fraction=args.train_fraction,
-        extra_photo_ratio=args.extra_photo_ratio,
-        group_weighting=args.group_weighting,
-    )
-    config.validate()
-    return config
-
-
 def cmd_train(args):
-    config = _config_from_args(args, "train")
-    venues, train_set, test_set = _split_and_pairs(config)
-    model = _train_model(train_set, config)
-    if isinstance(model, KernelCcaModel):
-        config.sigma = model.sigma_x  # echo the heuristic bandwidth actually used
-    save_model(model, config.out)
-    _history_csv(model, config.out + ".history.csv")
-    config.write(config.out + ".config.json")
+    split, config = _split_spec(args), _train_config(args)
+    train_set, test_set = build_pairs(load_dataset(args.manifest), split)
+    model = fit(args.method, train_set, config, args.sigma)
+    # echo the bandwidth a kernel model actually used (the median heuristic)
+    sigma = model.sigma_x if isinstance(model, KernelCcaModel) else args.sigma
+    save_model(model, args.out)
+    _history_csv(model, args.out + ".history.csv")
+    _write_record(args.out + ".config.json", args, beta=config.beta, sigma=sigma)
     rho = np.asarray(model.rho)
     print(
-        f"{config.method}: trained on {train_set.n} pairs "
+        f"{args.method}: trained on {train_set.n} pairs "
         f"({test_set.n} test queries held out)"
     )
     print(f"rho: {np.array2string(rho, precision=4)}")
-    print(f"model written to {config.out}")
+    print(f"model written to {args.out}")
     return 0
 
 
@@ -186,9 +131,7 @@ def cmd_index(args):
     venues = load_dataset(args.manifest)
     index = build_index(model, venues)
     save_index(index, args.out)
-    RunConfig(
-        command="index", manifest=args.manifest, out=args.out
-    ).write(args.out + ".config.json")
+    _write_record(args.out + ".config.json", args)
     print(f"indexed {index.n} venues to {args.out}")
     return 0
 
@@ -236,39 +179,45 @@ def cmd_eval(args):
         raise ValueError("--folds must be >= 1")
     if args.folds > 1 and args.method is None:
         raise ValueError("--folds retrains per fold and therefore needs --method")
-    config = _config_from_args(args, "eval")
-    config.geo_radius = args.geo_radius
-    config.position_noise_km = args.position_noise_km
-    config.weight_by_rho = args.weight_by_rho
-    config.folds = args.folds
+    if args.method is None:
+        for flag, value in (("--beta", args.beta), ("--sigma", args.sigma)):
+            if value is not None:
+                raise ValueError(
+                    f"{flag} sets how a model is trained; --model evaluates a trained model"
+                )
+    if args.geo_radius is not None:
+        _check_radius(args.geo_radius)
+    split = _split_spec(args)
+    config = None if args.method is None else _train_config(args)
+    venues = load_dataset(args.manifest)
+    model = load_model(args.model) if args.model else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    several = config.folds > 1
-    model = load_model(args.model) if args.model else None
+    several = args.folds > 1
     reports = []
-    for f in range(config.folds):
-        fold = replace(config, seed=config.seed + f)
-        venues, train_set, test_set = _split_and_pairs(fold)
-        fold_model = _train_model(train_set, fold) if model is None else model
-        index = build_index(fold_model, venues)
+    for f in range(args.folds):
+        seed = args.seed + f
+        train_set, test_set = build_pairs(venues, replace(split, seed=seed))
+        if config is not None:
+            model = fit(args.method, train_set, replace(config, seed=seed), args.sigma)
         report = evaluate(
-            fold_model,
-            index,
+            model,
+            build_index(model, venues),
             test_set,
-            geo_radius_km=config.geo_radius,
-            position_noise_km=config.position_noise_km,
-            seed=fold.seed,
-            weight_by_rho=config.weight_by_rho,
+            geo_radius_km=args.geo_radius,
+            position_noise_km=args.position_noise_km,
+            seed=seed,
+            weight_by_rho=args.weight_by_rho,
         )
         reports.append(report)
         _write_report(report, out_dir, f"fold{f}_" if several else "")
         label = f"fold {f}: " if several else ""
         print(f"{label}MRR1 {report.mrr1:.4f}  MAP {report.map:.4f} ({report.n_queries} queries)")
-    config.write(out_dir / "config.json")
+    _write_record(out_dir / "config.json", args, beta=None if config is None else config.beta)
     if several:
         summary = {
-            "folds": config.folds,
+            "folds": args.folds,
             "mrr1_per_fold": [r.mrr1 for r in reports],
             "map_per_fold": [r.map for r in reports],
             "mrr1_mean": float(np.mean([r.mrr1 for r in reports])),
@@ -278,27 +227,39 @@ def cmd_eval(args):
             json.dump(summary, fh, sort_keys=True, indent=1)
             fh.write("\n")
         print(
-            f"{config.folds}-fold mean: MRR1 {summary['mrr1_mean']:.4f}  "
+            f"{args.folds}-fold mean: MRR1 {summary['mrr1_mean']:.4f}  "
             f"MAP {summary['map_mean']:.4f}"
         )
     return 0
 
 
+def _hidden_sizes(text):
+    return tuple(int(t) for t in text.split(","))
+
+
 def _add_train_flags(p):
+    train, split = TrainConfig(), SplitSpec()
     p.add_argument("--method", required=False, choices=METHODS)
-    p.add_argument("--beta", type=float, default=None, help="same-venue weight; c-* methods default to 0.3")
-    p.add_argument("--r", type=float, default=1e-4, help="covariance ridge")
-    p.add_argument("--k", type=int, default=10, help="canonical components")
-    p.add_argument("--lr", type=float, default=1e-4, help="Adam learning rate")
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--beta", type=float, default=None, help=f"same-venue weight; c-* methods default to {train.beta}"
+    )
+    p.add_argument("--r", type=float, default=train.r, help="covariance ridge")
+    p.add_argument("--k", type=int, default=train.k, help="canonical components")
+    p.add_argument("--lr", type=float, default=train.learning_rate, help="Adam learning rate")
+    p.add_argument("--batch-size", type=int, default=train.batch_size)
+    p.add_argument("--epochs", type=int, default=train.epochs)
+    p.add_argument("--seed", type=int, default=train.seed)
     p.add_argument("--sigma", type=float, default=None, help="kernel bandwidth; default median heuristic")
-    p.add_argument("--hidden-sizes", default="1024,1024", help="comma-separated hidden layer widths")
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--train-fraction", type=float, default=0.75)
-    p.add_argument("--extra-photo-ratio", type=float, default=0.2)
-    p.add_argument("--group-weighting", choices=("size", "equal"), default="size")
+    p.add_argument(
+        "--hidden-sizes",
+        type=_hidden_sizes,
+        default=train.hidden_sizes,
+        help="comma-separated hidden layer widths",
+    )
+    p.add_argument("--dropout", type=float, default=train.dropout_rate)
+    p.add_argument("--train-fraction", type=float, default=split.train_venue_fraction)
+    p.add_argument("--extra-photo-ratio", type=float, default=split.extra_photo_ratio)
+    p.add_argument("--group-weighting", choices=("size", "equal"), default=train.group_weighting)
 
 
 def build_parser():
@@ -308,18 +269,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    synth = SynthConfig()
     p = sub.add_parser("synth", help="generate a synthetic venue dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-venues", type=int, default=200)
-    p.add_argument("--n-categories", type=int, default=10)
-    p.add_argument("--photos-per-venue", type=int, default=10)
-    p.add_argument("--dim-x", type=int, default=64)
-    p.add_argument("--dim-y", type=int, default=32)
-    p.add_argument("--category-signal", type=float, default=1.0)
-    p.add_argument("--venue-signal", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.4)
-    p.add_argument("--geo-cluster-radius", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-venues", type=int, default=synth.n_venues)
+    p.add_argument("--n-categories", type=int, default=synth.n_categories)
+    p.add_argument("--photos-per-venue", type=int, default=synth.photos_per_venue)
+    p.add_argument("--dim-x", type=int, default=synth.d_x)
+    p.add_argument("--dim-y", type=int, default=synth.d_y)
+    p.add_argument("--category-signal", type=float, default=synth.category_signal)
+    p.add_argument("--venue-signal", type=float, default=synth.venue_signal)
+    p.add_argument("--noise", type=float, default=synth.noise)
+    p.add_argument("--geo-cluster-radius", type=float, default=synth.geo_cluster_radius_km)
+    p.add_argument("--seed", type=int, default=synth.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="fit a model on a dataset's training split")

@@ -20,6 +20,17 @@ def resolve_beta(method, beta):
     return 1.0
 
 
+def check_sigma(method, sigma):
+    """Reject a bandwidth the method cannot take: sigma is for kcca and
+    c-kcca only, and must be > 0 (None: median heuristic)."""
+    if sigma is None:
+        return
+    if method not in ("kcca", "c-kcca"):
+        raise ValueError(f"sigma applies to kernel methods, not {method}")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+
+
 def fit(method, train, config=None, sigma=None):
     """Fit method on a PairedDataset and return the model.
 
@@ -29,8 +40,7 @@ def fit(method, train, config=None, sigma=None):
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick from {METHODS}")
-    if sigma is not None and method not in ("kcca", "c-kcca"):
-        raise ValueError(f"sigma applies to kernel methods, not {method}")
+    check_sigma(method, sigma)
     if config is None:
         config = TrainConfig(beta=resolve_beta(method, None))
     beta = resolve_beta(method, config.beta)

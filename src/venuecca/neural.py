@@ -222,6 +222,8 @@ class TrainConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
+        if min(self.hidden_sizes, default=1) < 1:
+            raise ValueError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
 
 
 class AdamState:

@@ -142,6 +142,14 @@ def score(u, v):
     return float(_unit_columns(u)[:, 0] @ _unit_columns(v)[:, 0])
 
 
+def _check_queries_finite(block, start, query_ids):
+    """Raise naming the first column of block (query start + i) that is not finite."""
+    if not np.isfinite(block).all():
+        i = start + int(np.argmin(np.isfinite(block).all(axis=0)))
+        name = i if query_ids is None else query_ids[i]
+        raise ValueError(f"query {name} projects to a non-finite vector")
+
+
 def _ranked_chunks(model, index, Z, centres=None, radius_km=None, weight_by_rho=False, query_ids=None):
     """The block ranker: rank the query columns of Z against the index.
 
@@ -151,9 +159,9 @@ def _ranked_chunks(model, index, Z, centres=None, radius_km=None, weight_by_rho=
     queries starting at column ``start``: row i of order lists index
     positions (in venue_id order) by score descending, ties by id, the
     first pool[i] of them inside the query's pool. keys holds the negated
-    scores by position, +inf outside the pool. A query whose projection
-    is not finite raises ValueError naming it (query_ids[i], or its
-    column in Z).
+    scores by position, +inf outside the pool. A query whose features or
+    projection are not finite raises ValueError naming it (query_ids[i],
+    or its column in Z).
     """
     units = index._units
     w = None
@@ -162,11 +170,12 @@ def _ranked_chunks(model, index, Z, centres=None, radius_km=None, weight_by_rho=
         units = _unit_columns(index.vectors[:, index._by_id] * w)
     rows = max(1, CHUNK_ELEMENTS // max(index.n, 1))
     for start in range(0, Z.shape[1], rows):
-        Q = model.project(Z[:, start : start + rows], "image")
-        if not np.isfinite(Q).all():
-            i = start + int(np.argmin(np.isfinite(Q).all(axis=0)))
-            name = i if query_ids is None else query_ids[i]
-            raise ValueError(f"query {name} projects to a non-finite vector")
+        chunk = Z[:, start : start + rows]
+        # A kernel map turns an inf feature into a finite column, so the
+        # raw features are checked as well as their projection.
+        _check_queries_finite(chunk, start, query_ids)
+        Q = model.project(chunk, "image")
+        _check_queries_finite(Q, start, query_ids)
         if w is not None:
             Q = Q * w
         # Dividing the raw query products by |q| keeps exact ties exact.

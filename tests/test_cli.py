@@ -1,14 +1,17 @@
 import filecmp
 import json
+import shlex
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from venuecca import cli
 from venuecca.cca import LinearCcaModel
-from venuecca.cli import main
+from venuecca.cli import build_parser, main
 from venuecca.dataio import load_dataset, write_container, write_matrix_csv
 from venuecca.dcca import DeepCcaModel
 from venuecca.kcca import KernelCcaModel
@@ -389,6 +392,97 @@ class TestEval:
         assert rc == 0
         report = json.loads((ev / "report.json").read_text())
         assert report["mrr1"] >= 0.9
+
+
+# (method, flags, message) of settings rejected before any file is touched
+TRAIN_FLAG_CASES = [
+    ("c-dcca", ["--k", "0"], "k >= 1"),
+    ("c-dcca", ["--lr", "-1"], "learning_rate"),
+    ("c-dcca", ["--batch-size", "0"], "batch_size"),
+    ("c-dcca", ["--epochs", "0"], "epochs"),
+    ("c-dcca", ["--dropout", "1"], "dropout_rate"),
+    ("c-dcca", ["--hidden-sizes", "0,4"], "hidden_sizes"),
+    ("c-dcca", ["--train-fraction", "2"], "train_venue_fraction"),
+    ("c-dcca", ["--extra-photo-ratio", "-0.5"], "extra_photo_ratio"),
+    ("c-kcca", ["--sigma", "0"], "sigma must be > 0"),
+    ("c-dcca", ["--sigma", "2"], "sigma applies to kernel methods"),
+    ("cca", ["--beta", "0.5"], "beta"),
+]
+EVAL_FLAG_CASES = [
+    ("c-dcca", ["--geo-radius", "-1"], "geo radius"),
+    ("c-dcca", ["--geo-radius", "nan"], "geo radius"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,method,flags,message",
+    [
+        pytest.param(c, method, flags, message, id=f"{c} {method} {' '.join(flags)}")
+        for c, cases in (("train", TRAIN_FLAG_CASES), ("eval", TRAIN_FLAG_CASES + EVAL_FLAG_CASES))
+        for method, flags, message in cases
+    ],
+)
+def test_bad_flag_is_rejected_before_any_file_is_touched(
+    tmp_path, capsys, monkeypatch, command, method, flags, message
+):
+    def no_read(path):
+        raise AssertionError(f"{path} was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_dataset", no_read)
+    monkeypatch.setattr(cli, "load_model", no_read)
+    out = tmp_path / ("m.vcca" if command == "train" else "ev")
+    rc = main(
+        [command, "--manifest", str(tmp_path / "data" / "manifest.json"),
+         "--method", method, "--out", str(out)] + flags
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestRecords:
+    def test_records_hold_the_flags_the_command_reads(self, dataset, trained):
+        model_path, index_path = trained
+        synth = json.loads((dataset.parent / "config.json").read_text())
+        assert synth["synth"]["n_venues"] == synth["n_venues"] == 30
+        assert "lr" not in synth and "k" not in synth
+        index = json.loads(Path(str(index_path) + ".config.json").read_text())
+        assert index == {
+            "command": "index",
+            "manifest": str(dataset),
+            "model": str(model_path),
+            "out": str(index_path),
+        }
+        train = json.loads(Path(str(model_path) + ".config.json").read_text())
+        assert train["hidden_sizes"] == [8] and "geo_radius" not in train
+
+    def test_eval_records_the_model_it_read(self, dataset, trained, tmp_path):
+        model_path, _ = trained
+        out = tmp_path / "ev"
+        assert main(
+            ["eval", "--manifest", str(dataset), "--model", str(model_path), "--out", str(out)]
+        ) == 0
+        record = json.loads((out / "config.json").read_text())
+        assert record["model"] == str(model_path)
+        assert record["method"] is None and record["beta"] is None
+
+
+def readme_cli_commands():
+    """The argument lists of the venuecca commands in README's CLI block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("venuecca ")]
+
+
+def test_readme_cli_block_parses():
+    commands = readme_cli_commands()
+    assert [argv[0] for argv in commands] == ["synth", "train", "index", "retrieve", "eval"]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 class TestEntryPoint:

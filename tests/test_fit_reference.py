@@ -71,3 +71,19 @@ def test_fit_and_ranking_match_full_svd_reference(setup):
             got = rank_venues(test.X[:, i], model, index, geo=geo)
             want = rank_venues(test.X[:, i], ref_model, ref_index, geo=geo)
             assert got.venue_ids == want.venue_ids
+
+
+@pytest.mark.parametrize("setup", [c_cca, c_kcca], ids=["c-cca", "c-kcca"])
+def test_fit_matches_full_svd_reference_up_to_column_sign(setup):
+    """The check any correct solve passes, whatever sign it pins: each
+    canonical pair may flip, Wx and Wy together. A second sign pin is
+    imitated by flipping every other pair of the fitted head."""
+    _, _, model, ref_model = setup()
+    head, ref = getattr(model, "head", model), getattr(ref_model, "head", ref_model)
+    assert np.abs(head.rho - ref.rho).max() <= 1e-12
+    for pin in (np.ones(K), (-1.0) ** np.arange(K)):
+        Wx, Wy = head.Wx * pin, head.Wy * pin
+        flip = np.sign((Wx * ref.Wx).sum(axis=0))
+        assert np.all(flip != 0)
+        for W, W_ref in ((Wx, ref.Wx), (Wy, ref.Wy)):
+            assert np.abs(W * flip - W_ref).max() <= 1e-9 * np.abs(W_ref).max()

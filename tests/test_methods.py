@@ -74,8 +74,13 @@ def test_default_config_runs_at_the_methods_beta(train_set, tmp_path, method, be
         ("dcca", TrainConfig(beta=0.5), None, "beta"),
         ("cca", None, 2.0, "sigma"),
         ("c-dcca", None, 2.0, "sigma"),
+        ("kcca", None, 0.0, "sigma must be > 0"),
+        ("c-kcca", None, float("nan"), "sigma must be > 0"),
     ],
-    ids=["unknown-method", "beta-on-cca", "beta-on-dcca", "sigma-on-cca", "sigma-on-c-dcca"],
+    ids=[
+        "unknown-method", "beta-on-cca", "beta-on-dcca", "sigma-on-cca", "sigma-on-c-dcca",
+        "zero-sigma-on-kcca", "nan-sigma-on-c-kcca",
+    ],
 )
 def test_rejects_settings_the_method_does_not_take(train_set, method, config, sigma, message):
     with pytest.raises(ValueError, match=message):

@@ -255,6 +255,8 @@ class TestTrainConfig:
             {"r": float("inf")},
             {"r": float("nan")},
             {"group_weighting": "median"},
+            {"hidden_sizes": (0, 4)},
+            {"hidden_sizes": (-3,)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -1,13 +1,23 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from venuecca import retrieval
+from venuecca import fit, retrieval
 from venuecca.cca import LinearCcaModel
-from venuecca.dataio import PairedDataset, VenueRecord, haversine_km
+from venuecca.dataio import (
+    PairedDataset,
+    SplitSpec,
+    SynthConfig,
+    VenueRecord,
+    build_pairs,
+    haversine_km,
+    synth_generate,
+)
+from venuecca.neural import TrainConfig
 from venuecca.retrieval import (
     EvalReport,
     GeoFilter,
@@ -18,6 +28,7 @@ from venuecca.retrieval import (
     evaluate,
     mean_average_precision,
     mrr1,
+    rank_photos,
     rank_venues,
     recall_precision_curve,
     score,
@@ -656,3 +667,48 @@ class TestEvaluateAgainstReference:
             monkeypatch.setattr(retrieval, "CHUNK_ELEMENTS", rows * index.n)
             chunked = evaluate(identity_model(3), index, test, **kwargs)
         assert chunked.to_json() == whole.to_json()
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """Small c-cca, c-kcca and c-dcca models, their venues and a test set."""
+    venues = synth_generate(
+        SynthConfig(n_venues=20, n_categories=4, photos_per_venue=3, d_x=8, d_y=6, seed=0)
+    )
+    train, test = build_pairs(venues, SplitSpec(seed=0))
+    config = TrainConfig(
+        learning_rate=1e-3, batch_size=8, epochs=2, k=2, hidden_sizes=(8,), dropout_rate=0.0
+    )
+    models = {m: fit(m, train, config) for m in ("c-cca", "c-kcca", "c-dcca")}
+    return venues, test, models
+
+
+class TestNonFiniteFeatures:
+    """A photo with a NaN or inf feature is named before it is projected:
+    a linear or deep map would warn on it, and a kernel map turns an inf
+    into a finite column that ranks like a real photo."""
+
+    @pytest.mark.parametrize("entry", ["rank_venues", "evaluate", "rank_photos"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("method", ["c-cca", "c-kcca", "c-dcca"])
+    def test_query_is_named(self, fitted, method, bad, entry):
+        venues, test, models = fitted
+        model = models[method]
+        index = build_index(model, venues)
+        # a two-photo block, the second photo bad
+        two = replace(
+            test,
+            X=test.X[:, :2].copy(),
+            Y=test.Y[:, :2],
+            venue_ids=test.venue_ids[:2],
+            categories=test.categories[:2],
+            coords=test.coords[:2],
+        )
+        two.X[1, 1] = bad
+        with pytest.raises(ValueError, match=r"^query (q1|1) projects to a non-finite vector$"):
+            if entry == "rank_venues":
+                rank_venues(two.X[:, 1], model, index, query_id="q1")
+            elif entry == "evaluate":
+                evaluate(model, index, two)
+            else:
+                list(rank_photos(two.X, model, index))
