@@ -1,8 +1,10 @@
 """Linear canonical correlation analysis and its category-weighted variant.
 
 The solver maximizes corr(w_x^T x, w_y^T y) over projection pairs, solved
-in closed form by whitening the cross-covariance and taking its leading
-singular triplets. The category-weighted variant replaces the plain
+in closed form by whitening the cross-covariance with the Cholesky
+factors of the auto-covariances and taking its leading singular
+triplets; the sign of each canonical pair is pinned on the directions W
+themselves. The category-weighted variant replaces the plain
 cross-covariance with a blend of two group-structured estimates:
 
     C1(g) = mean over same-venue pairs (x_i, y_i), i in group g
@@ -19,8 +21,10 @@ run. blend_partners is the one implementation of the blend.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
-from .linalg import NotPositiveDefiniteError, inv_sqrt_sym, regularized_covariance, svd_topk
+from .linalg import NotPositiveDefiniteError, pin_signs, regularized_covariance, svd_topk
 
 
 class NoCrossPairsError(ValueError):
@@ -157,6 +161,19 @@ class MappedCcaModel:
         return cca_transform(self.head, Z, side, self.feature_maps)
 
 
+def _cholesky(Zc, r):
+    """Lower Cholesky factor of regularized_covariance(Zc, r)."""
+    # the covariance is symmetric, so its Fortran-ordered view .T factors in place
+    L, info = dpotrf(regularized_covariance(Zc, r).T, lower=1, clean=0, overwrite_a=1)
+    if info:
+        smallest = float(np.linalg.eigvalsh(regularized_covariance(Zc, r))[0])
+        raise NotPositiveDefiniteError(
+            f"auto-covariance is singular (smallest eigenvalue {smallest:.6e}); pass r > 0 to regularize",
+            eigenvalue=smallest,
+        )
+    return L
+
+
 def fit_cca(X, Y, k, r=0.0, groups=None, beta=1.0, group_weighting="size"):
     """Fit (category-weighted) linear CCA on paired columns.
 
@@ -176,6 +193,12 @@ def fit_cca(X, Y, k, r=0.0, groups=None, beta=1.0, group_weighting="size"):
     All covariances use the unbiased 1/(n-1) divisor, so the blended
     cross-covariance (defined with expectation scaling) is rescaled by
     n/(n-1) to sit on the same footing.
+
+    With Cholesky factors C_xx = L_x L_x^T and C_yy = L_y L_y^T, (U, rho, V)
+    are the top k singular triplets of L_x^-1 C_xy L_y^-T; W_x = L_x^-T U
+    and W_y = L_y^-T V. Each W_x column's largest-magnitude entry is made
+    non-negative, and W_y flips with it. A failed factorisation raises
+    NotPositiveDefiniteError with that covariance's smallest eigenvalue.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -194,23 +217,20 @@ def fit_cca(X, Y, k, r=0.0, groups=None, beta=1.0, group_weighting="size"):
     mean_y = Y.mean(axis=1)
     Xc = X - mean_x[:, None]
     Yc = Y - mean_y[:, None]
-    Cxx = regularized_covariance(Xc, r)
-    Cyy = regularized_covariance(Yc, r)
+    Lx, Ly = _cholesky(Xc, r), _cholesky(Yc, r)
     Cxy = combined_cross_covariance(Xc, Yc, groups, beta, group_weighting) * (n / (n - 1))
-    try:
-        A = inv_sqrt_sym(Cxx)
-        B = inv_sqrt_sym(Cyy)
-    except NotPositiveDefiniteError as e:
-        raise NotPositiveDefiniteError(
-            f"auto-covariance is singular ({e}); pass r > 0 to regularize",
-            eigenvalue=e.eigenvalue,
-        ) from e
-    U, s, V = svd_topk(A @ Cxy @ B, k)
+    # M^T = Ly^-1 Cxy^T Lx^-T, solved in place on Cxy.T, its Fortran-ordered view
+    Mt = dtrsm(1.0, Ly, Cxy.T, lower=1, overwrite_b=1)
+    Mt = dtrsm(1.0, Lx, Mt, side=1, lower=1, trans_a=1, overwrite_b=1)
+    U, s, V = svd_topk(Mt.T, k)
+    Wx = dtrsm(1.0, Lx, U, lower=1, trans_a=1, overwrite_b=1)
+    Wy = dtrsm(1.0, Ly, V, lower=1, trans_a=1, overwrite_b=1)
+    pin_signs(Wx, Wy)
     return LinearCcaModel(
         mean_x=mean_x,
         mean_y=mean_y,
-        Wx=A @ U,
-        Wy=B @ V,
+        Wx=Wx,
+        Wy=Wy,
         rho=s,
         r=float(r),
         beta=float(beta if groups is not None else 1.0),

@@ -8,6 +8,7 @@ synth to <out>/config.json, train to <model>.config.json, index to
 <index>.config.json and eval to <out>/config.json. A record holds the
 parsed flags plus what the command resolved from them: the beta the
 method runs at, a kernel model's bandwidth and synth's SynthConfig.
+eval --model takes no training flag and records none.
 Outputs carry no timestamps; repeating a command with the same arguments
 produces byte identical files.
 """
@@ -35,7 +36,14 @@ from .kcca import KernelCcaModel
 from .methods import METHODS, check_sigma, fit, resolve_beta
 from .model_io import load_index, load_model, save_index, save_model
 from .neural import TrainConfig
-from .retrieval import GeoFilter, _check_radius, build_index, evaluate, rank_photos
+from .retrieval import (
+    GeoFilter,
+    _check_position_noise,
+    _check_radius,
+    build_index,
+    evaluate,
+    rank_photos,
+)
 
 
 def _write_record(path, args, **resolved):
@@ -179,14 +187,23 @@ def cmd_eval(args):
         raise ValueError("--folds must be >= 1")
     if args.folds > 1 and args.method is None:
         raise ValueError("--folds retrains per fold and therefore needs --method")
-    if args.method is None:
-        for flag, value in (("--beta", args.beta), ("--sigma", args.sigma)):
-            if value is not None:
-                raise ValueError(
-                    f"{flag} sets how a model is trained; --model evaluates a trained model"
-                )
+    if args.model is not None:
+        given = [dest for dest in ("method", *TRAINING_FLAGS) if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(
+                f"--{given[0].replace('_', '-')} sets how a model is trained; "
+                "--model evaluates a trained model"
+            )
+        for dest in TRAINING_FLAGS:
+            delattr(args, dest)  # so the record holds no training settings
+    else:
+        defaults = _train_flag_defaults()
+        for dest in TRAINING_FLAGS:
+            if getattr(args, dest) is None:
+                setattr(args, dest, defaults[dest])
     if args.geo_radius is not None:
         _check_radius(args.geo_radius)
+    _check_position_noise(args.position_noise_km)
     split = _split_spec(args)
     config = None if args.method is None else _train_config(args)
     venues = load_dataset(args.manifest)
@@ -235,6 +252,19 @@ def cmd_eval(args):
 
 def _hidden_sizes(text):
     return tuple(int(t) for t in text.split(","))
+
+
+# the flags of _add_train_flags that set how a model is trained; eval
+# leaves them None so that --model can reject any that is given
+TRAINING_FLAGS = (
+    "beta", "r", "k", "lr", "batch_size", "epochs", "sigma", "hidden_sizes", "dropout", "group_weighting",
+)
+
+
+def _train_flag_defaults():
+    p = argparse.ArgumentParser()
+    _add_train_flags(p)
+    return {dest: p.get_default(dest) for dest in TRAINING_FLAGS}
 
 
 def _add_train_flags(p):
@@ -311,6 +341,7 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", default=None, help="evaluate this model file")
     _add_train_flags(p)
+    p.set_defaults(**dict.fromkeys(TRAINING_FLAGS))
     p.add_argument("--out", required=True, help="output directory for reports")
     p.add_argument("--geo-radius", type=float, default=None, help="km; enables the location filter")
     p.add_argument("--position-noise-km", type=float, default=0.0)

@@ -5,9 +5,11 @@ centered kernel are an n-dimensional feature representation of the n
 samples, and running the linear solver on those columns is exactly dual
 KCCA. The ridge r then lands on K^2 (through the representation's
 covariance), which is the stabilized variant that keeps the whitening
-well-posed. So a kernel model is one KernelMap per view (a new point's
-centered kernel column against the retained training set) in front of
-the linear head, and projects through cca.cca_transform like every model.
+well-posed: fit_cca whitens by the Cholesky factor of K^2 / (n - 1) + r I,
+which centering leaves singular at r = 0. So a kernel model is one
+KernelMap per view (a new point's centered kernel column against the
+retained training set) in front of the linear head, and projects through
+cca.cca_transform like every model.
 """
 
 from dataclasses import dataclass

@@ -111,7 +111,13 @@ def svd_topk(M, k):
     V[:, QR.diagonal() < 0] *= -1.0
     if tall:
         U, V = V, U
-    flip = U[np.argmax(np.abs(U), axis=0), np.arange(k)] < 0
-    U[:, flip] *= -1.0
-    V[:, flip] *= -1.0
+    pin_signs(U, V)
     return U, s, V
+
+
+def pin_signs(P, Q):
+    """Flip column pairs in place so that the largest-magnitude entry of each
+    column of P is non-negative; column j of Q flips with column j of P."""
+    flip = P[np.argmax(np.abs(P), axis=0), np.arange(P.shape[1])] < 0
+    P[:, flip] *= -1.0
+    Q[:, flip] *= -1.0

@@ -6,7 +6,7 @@ the same model twice yields identical bytes, which the pipeline's
 reproducibility guarantee leans on.
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -151,6 +151,22 @@ def save_model(model, path):
     dataio.write_container(path, kind, meta, blocks)
 
 
+def _config_from(cfg, path):
+    """The TrainConfig a deep model file stores, or a DatasetError naming the key."""
+    if not isinstance(cfg, dict):
+        raise dataio.DatasetError(f"{path}: deep-cca config must be an object")
+    known = {f.name for f in fields(TrainConfig)}
+    for key in cfg:
+        if key not in known:
+            raise dataio.DatasetError(f"{path}: deep-cca config has unknown key {key!r}")
+    if not isinstance(cfg["hidden_sizes"], list):
+        raise dataio.DatasetError(f"{path}: deep-cca config key 'hidden_sizes' must be a list")
+    try:
+        return TrainConfig(**cfg)
+    except (TypeError, ValueError) as e:
+        raise dataio.DatasetError(f"{path}: deep-cca config is invalid: {e}") from None
+
+
 def load_model(path):
     kind, meta, blocks = dataio.read_container(path)
     try:
@@ -163,13 +179,11 @@ def load_model(path):
                 head=_head_from(meta, blocks, "head_"),
             )
         if kind == KIND_DEEP:
-            cfg = dict(meta["config"])
-            cfg["hidden_sizes"] = tuple(cfg["hidden_sizes"])
             return DeepCcaModel(
                 net_x=_net_from(meta["net_x_layers"], blocks, "net_x_"),
                 net_y=_net_from(meta["net_y_layers"], blocks, "net_y_"),
                 head=_head_from(meta, blocks, "head_"),
-                config=TrainConfig(**cfg),
+                config=_config_from(meta["config"], path),
                 history_objective=blocks["history_objective"][0],
                 history_epoch=blocks["history_epoch"][0].astype(int),
             )

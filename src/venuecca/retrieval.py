@@ -84,6 +84,11 @@ def _check_radius(radius_km):
         raise ValueError(f"geo radius must be a finite number of km >= 0, got {radius_km}")
 
 
+def _check_position_noise(noise_km):
+    if not (math.isfinite(noise_km) and noise_km >= 0.0):
+        raise ValueError(f"position_noise_km must be a finite number of km >= 0, got {noise_km}")
+
+
 @dataclass
 class GeoFilter:
     """Query position plus the admission radius in kilometres."""
@@ -428,12 +433,14 @@ def evaluate(
 
     Query positions are the true venue positions; position_noise_km > 0
     perturbs them with an isotropic Gaussian of that sigma (a stand-in
-    for coarse positioning). geo_radius_km enables the location filter.
+    for coarse positioning), and a negative or non-finite value is
+    rejected. geo_radius_km enables the location filter.
     """
     if cutoffs is None:
         cutoffs = sorted({1, 2, 5, 10, 20, 50, index.n} - {0})
         cutoffs = [c for c in cutoffs if c <= index.n]
     cutoff_array = _check_cutoffs(cutoffs)
+    _check_position_noise(position_noise_km)
     centres = None
     if geo_radius_km is not None:
         _check_radius(geo_radius_km)

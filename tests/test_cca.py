@@ -11,8 +11,11 @@ from venuecca.cca import (
     combined_cross_covariance,
     fit_cca,
 )
-from venuecca.dataio import SplitSpec, SynthConfig, build_pairs, synth_generate
+from venuecca.dataio import PairedDataset, SplitSpec, SynthConfig, build_pairs, synth_generate
+from venuecca.dcca import train_dcca
+from venuecca.kcca import fit_kcca
 from venuecca.linalg import NotPositiveDefiniteError, regularized_covariance
+from venuecca.neural import TrainConfig
 
 
 def brute_force_combined(phi_x, phi_y, labels, beta, weighting="size"):
@@ -261,6 +264,63 @@ class TestFitCca:
             fit_cca(X, X, k=4, r=1e-4)
         with pytest.raises(ValueError, match="samples"):
             fit_cca(np.zeros((3, 3)), np.zeros((3, 3)), k=3, r=1e-4)
+
+
+@pytest.fixture(scope="module")
+def whitening_cases():
+    """(name, X, Y, head, r) with X, Y the views the head was fitted on."""
+    rng = np.random.default_rng(5)
+    n, r = 60, 1e-4
+    X = rng.standard_normal((6, n))
+    Y = 0.6 * X[:5] + 0.4 * rng.standard_normal((5, n))
+    cats = 1 + np.arange(n) % 4
+    groups = GroupIndex.from_labels(cats)
+    kernel = fit_kcca(X, Y, 5, r, groups=groups, beta=0.3)
+    Rx, Ry = (fmap(Z) for fmap, Z in zip(kernel.feature_maps, (X, Y)))
+    config = TrainConfig(hidden_sizes=(8,), epochs=2, batch_size=20, k=5, learning_rate=1e-3)
+    deep = train_dcca(PairedDataset(X, Y, [f"v{i}" for i in range(n)], cats, np.zeros((n, 2))), config)
+    return [
+        ("c-cca", X, Y, fit_cca(X, Y, 5, r, groups=groups, beta=0.3), r),
+        ("c-kcca", Rx, Ry, kernel.head, r),
+        ("c-dcca", deep.net_x(X), deep.net_y(Y), deep.head, config.r),
+    ]
+
+
+# (d_x, d_y, n, the view made rank-deficient, its rows held constant)
+RANK_DEFICIENT = [
+    (3, 4, 20, "X", [0]),
+    (6, 2, 40, "X", [5]),
+    (5, 5, 12, "Y", [2]),
+    (10, 3, 6, "X", [6, 7, 8, 9]),  # more dimensions than samples
+    (2, 7, 5, "Y", [3, 4, 5, 6]),
+]
+
+
+class TestCholeskyWhitening:
+    def test_directions_whiten_both_views(self, whitening_cases):
+        for name, X, Y, head, r in whitening_cases:
+            for Z, W in ((X, head.Wx), (Y, head.Wy)):
+                C = regularized_covariance(Z - Z.mean(axis=1, keepdims=True), r)
+                residual = np.abs(W.T @ C @ W - np.eye(W.shape[1])).max()
+                assert residual <= 1e-12, name
+
+    def test_sign_pin_on_image_directions(self, whitening_cases):
+        for name, _, _, head, _ in whitening_cases:
+            top = head.Wx[np.argmax(np.abs(head.Wx), axis=0), np.arange(head.k)]
+            assert (top >= 0).all(), name
+
+    @pytest.mark.parametrize("d_x,d_y,n,view,rows", RANK_DEFICIENT)
+    def test_rank_deficient_view_reports_its_smallest_eigenvalue(self, d_x, d_y, n, view, rows):
+        rng = np.random.default_rng(13)
+        views = {"X": rng.standard_normal((d_x, n)), "Y": rng.standard_normal((d_y, n))}
+        views[view][rows] = 2.5
+        with pytest.raises(NotPositiveDefiniteError, match="r > 0") as exc:
+            fit_cca(views["X"], views["Y"], k=1, r=0.0)
+        Z = views[view]
+        evals = np.linalg.eigvalsh(regularized_covariance(Z - Z.mean(axis=1, keepdims=True), 0.0))
+        assert np.isfinite(exc.value.eigenvalue)
+        assert exc.value.eigenvalue == evals[0]
+        assert exc.value.eigenvalue <= 1e-12 * evals[-1]
 
 
 class TestCcaTransform:

@@ -12,10 +12,11 @@ import pytest
 from venuecca import cli
 from venuecca.cca import LinearCcaModel
 from venuecca.cli import build_parser, main
-from venuecca.dataio import load_dataset, write_container, write_matrix_csv
+from venuecca.dataio import load_dataset, read_container, write_container, write_matrix_csv
 from venuecca.dcca import DeepCcaModel
 from venuecca.kcca import KernelCcaModel
 from venuecca.model_io import load_index, load_model
+from venuecca.neural import TrainConfig
 from venuecca.retrieval import rank_venues
 
 SYNTH_ARGS = [
@@ -411,6 +412,8 @@ TRAIN_FLAG_CASES = [
 EVAL_FLAG_CASES = [
     ("c-dcca", ["--geo-radius", "-1"], "geo radius"),
     ("c-dcca", ["--geo-radius", "nan"], "geo radius"),
+    ("c-dcca", ["--position-noise-km", "-3"], "position_noise_km"),
+    ("c-dcca", ["--position-noise-km", "nan"], "position_noise_km"),
 ]
 
 
@@ -442,6 +445,49 @@ def test_bad_flag_is_rejected_before_any_file_is_touched(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_index_names_a_bad_deep_model_config(tmp_path, capsys):
+    data = Path(__file__).resolve().parent / "data"
+    kind, meta, blocks = read_container(data / "dcca.vcca")
+    meta["config"]["epolhs"] = 50
+    model_path = tmp_path / "bad.vcca"
+    write_container(model_path, kind, meta, blocks)
+    rc = main(
+        ["index", "--model", str(model_path), "--manifest", str(tmp_path / "manifest.json"),
+         "--out", str(tmp_path / "x.vidx")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.vcca" in err and "'epolhs'" in err
+
+
+# training flags, each at its default value: --model takes none of them
+# (test_saved_model_rejects_training_flags covers --beta and --sigma)
+SAVED_MODEL_TRAINING_FLAGS = [
+    ["--r", "0.0001"], ["--k", "10"], ["--lr", "0.0001"], ["--batch-size", "100"],
+    ["--epochs", "50"], ["--hidden-sizes", "1024,1024"], ["--dropout", "0.5"],
+    ["--group-weighting", "size"], ["--method", "c-cca"],
+]
+
+
+@pytest.mark.parametrize("flags", SAVED_MODEL_TRAINING_FLAGS, ids=lambda f: f[0])
+def test_saved_model_rejects_training_flag_before_any_file_is_read(
+    tmp_path, capsys, monkeypatch, flags
+):
+    def no_read(path):
+        raise AssertionError(f"{path} was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_dataset", no_read)
+    monkeypatch.setattr(cli, "load_model", no_read)
+    rc = main(
+        ["eval", "--manifest", str(tmp_path / "manifest.json"), "--model", str(tmp_path / "m.vcca"),
+         "--out", str(tmp_path / "ev")] + flags
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]} sets how a model is trained")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestRecords:
     def test_records_hold_the_flags_the_command_reads(self, dataset, trained):
         model_path, index_path = trained
@@ -467,6 +513,27 @@ class TestRecords:
         record = json.loads((out / "config.json").read_text())
         assert record["model"] == str(model_path)
         assert record["method"] is None and record["beta"] is None
+
+    def test_eval_with_model_records_no_training_settings(self, dataset, trained, tmp_path):
+        model_path, _ = trained
+        out = tmp_path / "ev"
+        assert main(
+            ["eval", "--manifest", str(dataset), "--model", str(model_path), "--out", str(out)]
+        ) == 0
+        record = json.loads((out / "config.json").read_text())
+        # beta stays as the resolved value, null: no model was trained
+        assert record["beta"] is None
+        assert not set(record) & set(cli.TRAINING_FLAGS) - {"beta"}
+
+    def test_eval_with_method_records_the_training_defaults(self, dataset, tmp_path):
+        out = tmp_path / "ev"
+        assert main(
+            ["eval", "--manifest", str(dataset), "--method", "cca", "--k", "2", "--out", str(out)]
+        ) == 0
+        record = json.loads((out / "config.json").read_text())
+        defaults = TrainConfig()
+        assert (record["k"], record["r"], record["lr"]) == (2, defaults.r, defaults.learning_rate)
+        assert record["hidden_sizes"] == list(defaults.hidden_sizes) and record["sigma"] is None
 
 
 def readme_cli_commands():

@@ -18,7 +18,7 @@ K, RIDGE, BETA = 10, 1e-4, 0.3
 
 
 def reference_head(X, Y, groups):
-    """Whiten both views, take a full SVD of T, pin signs on U."""
+    """Whiten both views, take a full SVD of T, pin signs on W = A U."""
     n = X.shape[1]
     mean_x, mean_y = X.mean(axis=1), Y.mean(axis=1)
     Xc = X - mean_x[:, None]
@@ -27,11 +27,11 @@ def reference_head(X, Y, groups):
     B = inv_sqrt_sym(regularized_covariance(Yc, RIDGE))
     Cxy = combined_cross_covariance(Xc, Yc, groups, BETA) * (n / (n - 1))
     U, s, Vt = np.linalg.svd(A @ Cxy @ B)
-    U, V = U[:, :K], Vt[:K].T
-    flip = U[np.argmax(np.abs(U), axis=0), np.arange(K)] < 0
-    U[:, flip] *= -1.0
-    V[:, flip] *= -1.0
-    return LinearCcaModel(mean_x, mean_y, A @ U, B @ V, s[:K], RIDGE, BETA)
+    Wx, Wy = A @ U[:, :K], B @ Vt[:K].T
+    flip = Wx[np.argmax(np.abs(Wx), axis=0), np.arange(K)] < 0
+    Wx[:, flip] *= -1.0
+    Wy[:, flip] *= -1.0
+    return LinearCcaModel(mean_x, mean_y, Wx, Wy, s[:K], RIDGE, BETA)
 
 
 def corpus(n_venues, extra_photo_ratio):

@@ -5,12 +5,13 @@ import pytest
 from venuecca.cca import GroupIndex, fit_cca
 from venuecca.dataio import SplitSpec, SynthConfig, build_pairs, synth_generate
 from venuecca.kcca import (
+    KernelMap,
     fit_kcca,
     gaussian_kernel,
     linear_kernel,
     median_heuristic_bandwidth,
 )
-from venuecca.linalg import NotPositiveDefiniteError
+from venuecca.linalg import NotPositiveDefiniteError, regularized_covariance
 
 
 class TestKernels:
@@ -111,6 +112,22 @@ class TestFitKcca:
         Y = rng.standard_normal((2, 25))
         with pytest.raises(NotPositiveDefiniteError, match="sigma"):
             fit_kcca(X, Y, k=2, r=0.0)
+
+    def test_singular_gram_reports_the_unfactored_eigenvalue(self):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((3, 25))
+        Y = rng.standard_normal((2, 25))
+        with pytest.raises(NotPositiveDefiniteError, match="r > 0.*increase r or widen sigma") as exc:
+            fit_kcca(X, Y, k=2, r=0.0)
+        # centering leaves each view's covariance singular; the view whose
+        # factorisation fails first reports the smallest eigenvalue of its own
+        spectra = {}
+        for Z in (X, Y):
+            _, R = KernelMap.fit(Z, "gaussian", median_heuristic_bandwidth(Z))
+            evals = np.linalg.eigvalsh(regularized_covariance(R - R.mean(axis=1, keepdims=True), 0.0))
+            spectra[evals[0]] = evals[-1]
+        assert exc.value.eigenvalue in spectra
+        assert exc.value.eigenvalue <= 1e-12 * spectra[exc.value.eigenvalue]
 
 
     @pytest.mark.parametrize("view", ["X", "Y"])

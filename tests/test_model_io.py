@@ -188,6 +188,26 @@ def test_missing_meta_key_is_named(key, tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "edit,named",
+    [
+        ({"epolhs": 50}, "unknown key 'epolhs'"),
+        ({"hidden_sizes": 5}, "'hidden_sizes' must be a list"),
+        ({"hidden_sizes": "1024"}, "'hidden_sizes' must be a list"),
+        ({"epochs": "ten"}, "invalid"),
+        ({"learning_rate": -1.0}, "invalid.*learning_rate"),
+    ],
+    ids=["unknown-key", "hidden-sizes-int", "hidden-sizes-text", "epochs-text", "negative-lr"],
+)
+def test_bad_deep_config_is_named(edit, named, tmp_path):
+    kind, meta, blocks = read_container(GOLDEN / "dcca.vcca")
+    meta["config"].update(edit)
+    path = tmp_path / "m.vcca"
+    write_container(path, kind, meta, blocks)
+    with pytest.raises(DatasetError, match=f"m.vcca.*{named}"):
+        load_model(path)
+
+
 def test_missing_block_is_named(tmp_path):
     kind, meta, blocks = read_container(GOLDEN / "c-cca.vcca")
     del blocks["mean_x"]

@@ -525,6 +525,21 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="geo radius"):
                 evaluate(identity_model(3), self.make_parallel_index(test), test, geo_radius_km=bad)
 
+    @pytest.mark.parametrize("radius", [None, 1.0])
+    def test_bad_position_noise_rejected_before_ranking(self, monkeypatch, radius):
+        # a negative or NaN sigma must not read as "no noise"
+        test = self.make_test_set()
+        monkeypatch.setattr(retrieval, "_ranked_chunks", None)
+        for bad in (-3.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="position_noise_km"):
+                evaluate(
+                    identity_model(3),
+                    self.make_parallel_index(test),
+                    test,
+                    geo_radius_km=radius,
+                    position_noise_km=bad,
+                )
+
 
 class TestGeoFilter:
     @pytest.mark.parametrize(
