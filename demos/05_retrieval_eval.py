@@ -5,8 +5,6 @@ indexes every venue's text feature, then runs photo queries with and
 without the location filter and prints the metric suite.
 """
 
-import numpy as np
-
 from venuecca import (
     GeoFilter,
     GroupIndex,

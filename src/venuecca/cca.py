@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpocon, dpotrf
 
 from .linalg import NotPositiveDefiniteError, pin_signs, regularized_covariance, svd_topk
 
@@ -32,44 +32,20 @@ class NoCrossPairsError(ValueError):
 
 
 class GroupIndex:
-    """A partition of samples 0..n-1 into categories: the sorted category
-    ids ``keys``, each sample's position in them ``codes``, and ``counts``."""
+    """A partition of samples 0..n-1 into categories, from one label per
+    sample (a 1-d array): the sorted category ids ``keys``, each sample's
+    position in them ``codes``, and ``counts``."""
 
-    def __init__(self, groups, n_samples):
-        keys = sorted(groups)
-        codes = np.full(int(n_samples), -1)
-        for code, key in enumerate(keys):
-            idx = np.asarray(groups[key], dtype=int)
-            if idx.size == 0:
-                raise ValueError(f"group {key!r} is declared but empty")
-            if idx.min() < 0 or idx.max() >= codes.size:
-                raise ValueError(f"group {key!r} holds out-of-range indices")
-            if (codes[idx] >= 0).any() or np.unique(idx).size < idx.size:
-                raise ValueError("groups overlap: some sample appears twice")
-            codes[idx] = code
-        if (codes < 0).any():
-            raise ValueError("groups do not cover every sample")
-        self._set(np.array(keys), codes)
+    def __init__(self, labels):
+        if np.ndim(labels) != 1:
+            raise ValueError(f"expected one label per sample, got an array of shape {np.shape(labels)}")
+        self.keys, self.codes = np.unique(labels, return_inverse=True)
+        self.counts = np.bincount(self.codes, minlength=len(self.keys))
+        self.n_samples = len(self.codes)
 
     @classmethod
     def from_labels(cls, labels):
-        out = cls.__new__(cls)
-        out._set(*np.unique(labels, return_inverse=True))
-        return out
-
-    def _set(self, keys, codes):
-        self.keys, self.codes = keys, codes
-        self.counts = np.bincount(codes, minlength=len(keys))
-        self.n_samples = len(codes)
-
-    def __len__(self):
-        return len(self.keys)
-
-    def sizes(self):
-        return dict(zip(self.keys.tolist(), self.counts.tolist()))
-
-    def label_array(self):
-        return self.keys[self.codes]
+        return cls(labels)
 
 
 def blend_partners(phi, groups, beta, group_weighting="size"):
@@ -162,13 +138,22 @@ class MappedCcaModel:
 
 
 def _cholesky(Zc, r):
-    """Lower Cholesky factor of regularized_covariance(Zc, r)."""
+    """Lower Cholesky factor of regularized_covariance(Zc, r). Pivots can
+    round positive on a singular covariance, so unless r bounds the
+    condition number, LAPACK's estimate of it must stay below 1/(d eps)."""
+    C = regularized_covariance(Zc, r)
+    tiny = C.shape[0] * np.finfo(float).eps
+    # cond_1(C) <= d cond_2(C) <= d trace(C) / r, so a ridge this large needs no estimate
+    anorm = np.abs(C).sum(axis=0).max() if np.trace(C) * tiny > r / C.shape[0] else None
     # the covariance is symmetric, so its Fortran-ordered view .T factors in place
-    L, info = dpotrf(regularized_covariance(Zc, r).T, lower=1, clean=0, overwrite_a=1)
+    L, info = dpotrf(C.T, lower=1, clean=0, overwrite_a=1)
+    if not info and anorm is not None:
+        info = dpocon(L, anorm, uplo="L")[0] < tiny
     if info:
         smallest = float(np.linalg.eigvalsh(regularized_covariance(Zc, r))[0])
         raise NotPositiveDefiniteError(
-            f"auto-covariance is singular (smallest eigenvalue {smallest:.6e}); pass r > 0 to regularize",
+            f"auto-covariance is singular (smallest eigenvalue {smallest:.6e}); "
+            + ("pass r > 0 to regularize" if r == 0 else f"r={r:g} is too small to regularize it"),
             eigenvalue=smallest,
         )
     return L
@@ -197,7 +182,8 @@ def fit_cca(X, Y, k, r=0.0, groups=None, beta=1.0, group_weighting="size"):
     With Cholesky factors C_xx = L_x L_x^T and C_yy = L_y L_y^T, (U, rho, V)
     are the top k singular triplets of L_x^-1 C_xy L_y^-T; W_x = L_x^-T U
     and W_y = L_y^-T V. Each W_x column's largest-magnitude entry is made
-    non-negative, and W_y flips with it. A failed factorisation raises
+    non-negative, and W_y flips with it. A factorisation that fails, or
+    whose estimated reciprocal condition number is below d * eps, raises
     NotPositiveDefiniteError with that covariance's smallest eigenvalue.
     """
     X = np.asarray(X, dtype=float)

@@ -24,7 +24,7 @@ import json
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -423,51 +423,31 @@ def build_pairs(venues, split):
     if not venues:
         raise DatasetError("cannot build pairs from an empty venue list")
     rng = np.random.default_rng(split.seed)
-    n_venues = len(venues)
-    n_train = max(1, int(round(split.train_venue_fraction * n_venues)))
-    train_set = set(rng.permutation(n_venues)[:n_train].tolist())
+    n_train = max(1, int(round(split.train_venue_fraction * len(venues))))
+    trained = np.sort(rng.permutation(len(venues))[:n_train])
+    counts = np.array([v.n_photos for v in venues])
+    starts = np.cumsum(counts) - counts
+    train = np.zeros(counts.sum(), dtype=bool)
+    for i in trained.tolist():
+        if not counts[i]:
+            raise DatasetError(f"training venue {venues[i].venue_id!r} has no photos")
+        rest = np.arange(1, counts[i])
+        n_extra = int(round(split.extra_photo_ratio * len(rest)))
+        train[starts[i] + rng.permutation(rest)[:n_extra]] = True
+    train[starts[trained]] = True
+    # photos has one row per photo, the rest one per venue; owner maps photo to venue
+    photos = np.vstack([v.photos for v in venues if v.n_photos])
+    texts = np.array([v.text for v in venues])
+    ids = np.array([v.venue_id for v in venues])
+    categories = np.array([v.category for v in venues])
+    coords = np.array([(v.lat, v.lon) for v in venues])
+    owner = np.repeat(np.arange(len(venues)), counts)
 
-    def one(v, photo_idx, bucket):
-        bucket["x"].append(v.photos[photo_idx])
-        bucket["y"].append(v.text)
-        bucket["ids"].append(v.venue_id)
-        bucket["cat"].append(v.category)
-        bucket["coord"].append((v.lat, v.lon))
+    def pack(mask):
+        at = owner[mask]
+        return PairedDataset(photos[mask].T, texts[at].T, ids[at].tolist(), categories[at], coords[at])
 
-    train = {"x": [], "y": [], "ids": [], "cat": [], "coord": []}
-    test = {"x": [], "y": [], "ids": [], "cat": [], "coord": []}
-    for i, v in enumerate(venues):
-        if i in train_set:
-            if v.n_photos == 0:
-                raise DatasetError(
-                    f"training venue {v.venue_id!r} has no photos"
-                )
-            rest = np.arange(1, v.n_photos)
-            n_extra = int(round(split.extra_photo_ratio * len(rest)))
-            extra = sorted(rng.permutation(rest)[:n_extra].tolist())
-            for p in [0] + extra:
-                one(v, p, train)
-            for p in sorted(set(rest.tolist()) - set(extra)):
-                one(v, p, test)
-        else:
-            for p in range(v.n_photos):
-                one(v, p, test)
-
-    def pack(bucket, d_x, d_y):
-        n = len(bucket["ids"])
-        X = np.array(bucket["x"]).T if n else np.empty((d_x, 0))
-        Y = np.array(bucket["y"]).T if n else np.empty((d_y, 0))
-        return PairedDataset(
-            X=X,
-            Y=Y,
-            venue_ids=bucket["ids"],
-            categories=np.array(bucket["cat"], dtype=int),
-            coords=np.array(bucket["coord"], dtype=float).reshape(n, 2),
-        )
-
-    d_x = venues[0].photos.shape[1]
-    d_y = venues[0].text.shape[0]
-    return pack(train, d_x, d_y), pack(test, d_x, d_y)
+    return pack(train), pack(~train)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,12 @@ def train_dcca(train, config):
         raise ValueError("training set is empty")
     if config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds n={n}")
+    smallest = n // math.ceil(n / config.batch_size)  # stratified_batches' smallest batch
+    if smallest <= config.k:
+        raise ValueError(
+            f"a batch of {smallest} samples cannot support k={config.k} "
+            "components; increase batch_size or shrink k"
+        )
     groups_full = GroupIndex.from_labels(train.categories)
     rng = np.random.default_rng(config.seed)
     std_x = Standardizer.fit(train.X)
@@ -178,11 +184,6 @@ def train_dcca(train, config):
     for epoch in range(config.epochs):
         batch_values = []
         for b, idx in enumerate(stratified_batches(train.categories, config.batch_size, rng)):
-            if len(idx) <= config.k:
-                raise ValueError(
-                    f"a batch of {len(idx)} samples cannot support k={config.k} "
-                    "components; increase batch_size or shrink k"
-                )
             seed_x = int(rng.integers(2**63))
             seed_y = int(rng.integers(2**63))
             cache_x = mlp_forward(net_x, train.X[:, idx], mode="train", seed=seed_x)

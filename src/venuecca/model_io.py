@@ -8,8 +8,6 @@ reproducibility guarantee leans on.
 
 from dataclasses import asdict, fields
 
-import numpy as np
-
 from . import dataio
 from .cca import LinearCcaModel
 from .dcca import DeepCcaModel
@@ -122,9 +120,8 @@ def _kernel_map_from(meta, blocks, side):
 
 
 def _deep_parts(model):
-    config = model.config
     meta = {
-        "config": asdict(config) if not isinstance(config, dict) else config,
+        "config": asdict(model.config),
         "net_x_layers": _net_meta(model.net_x),
         "net_y_layers": _net_meta(model.net_y),
         **_head_meta(model.head, "head_"),

@@ -10,7 +10,7 @@ finite-difference checkable.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

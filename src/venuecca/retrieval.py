@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import haversine_km
+from .dataio import EARTH_RADIUS_KM, haversine_km
 
 # Score-matrix elements per ranked chunk: 2**18 float64s is 2 MB. Larger
 # chunks raise peak memory and rank no faster.
@@ -446,7 +446,7 @@ def evaluate(
         _check_radius(geo_radius_km)
         centres = np.array(test.coords, dtype=float)
         if position_noise_km > 0.0:
-            deg_per_km = 180.0 / (np.pi * 6371.0)
+            deg_per_km = 180.0 / (np.pi * EARTH_RADIUS_KM)
             shift = np.random.default_rng(seed).normal(0.0, position_noise_km, (test.n, 2))
             centres[:, 0] += shift[:, 0] * deg_per_km
             centres[:, 1] += shift[:, 1] * deg_per_km / np.cos(np.radians(centres[:, 0]))

@@ -8,7 +8,6 @@ they need; everything else runs on small purpose-built instances.
 """
 
 import filecmp
-import json
 import time
 import warnings
 from dataclasses import replace
@@ -23,7 +22,6 @@ from venuecca.dataio import (
     SplitSpec,
     SynthConfig,
     build_pairs,
-    load_dataset,
     synth_generate,
 )
 from venuecca.dcca import cca_objective, train_dcca

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 from venuecca.cca import (
     GroupIndex,
@@ -60,33 +61,15 @@ def centered(rng, d, n):
 class TestGroupIndex:
     def test_from_labels_partitions(self):
         g = GroupIndex.from_labels([2, 1, 2, 3, 1])
-        assert sorted(g.sizes().items()) == [(1, 2), (2, 2), (3, 1)]
-        npt.assert_array_equal(g.label_array(), [2, 1, 2, 3, 1])
+        npt.assert_array_equal(g.keys, [1, 2, 3])
+        npt.assert_array_equal(g.codes, [1, 0, 1, 2, 0])
+        npt.assert_array_equal(g.counts, [2, 2, 1])
+        assert g.n_samples == 5
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            GroupIndex({1: [0, 1], 2: [1, 2]}, 3)
-
-    def test_gap_rejected(self):
-        with pytest.raises(ValueError, match="cover"):
-            GroupIndex({1: [0], 2: [2]}, 3)
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            GroupIndex({1: [0, 1], 2: []}, 2)
-
-    def test_sample_twice_within_one_group_rejected(self):
-        with pytest.raises(ValueError, match="groups overlap: some sample appears twice"):
-            GroupIndex({1: [0, 0, 1], 2: [2]}, 3)
-
-    def test_dict_and_labels_give_the_same_codes(self):
-        by_dict = GroupIndex({7: [3, 1], 2: [4, 0, 2]}, 5)
-        by_labels = GroupIndex.from_labels([2, 7, 2, 7, 2])
-        for g in (by_dict, by_labels):
-            npt.assert_array_equal(g.keys, [2, 7])
-            npt.assert_array_equal(g.codes, [0, 1, 0, 1, 0])
-            npt.assert_array_equal(g.counts, [3, 2])
-            assert len(g) == 2 and g.n_samples == 5
+    @pytest.mark.parametrize("labels", [{7: [1, 3], 2: [0, 2, 4]}, [[1, 2], [1, 2]], 3])
+    def test_labels_that_are_not_one_per_sample_rejected(self, labels):
+        with pytest.raises(ValueError, match="one label per sample"):
+            GroupIndex(labels)
 
 
 class TestCombinedCrossCovariance:
@@ -131,10 +114,11 @@ class TestCombinedCrossCovariance:
         rng = np.random.default_rng(3)
         phi_x = centered(rng, 4, 9)
         phi_y = centered(rng, 3, 9)
-        # keys inserted out of order, non-contiguous ids, 5 a singleton
-        groups = GroupIndex({7: [8, 1, 4, 0], 5: [6], 2: [3, 2, 7, 5]}, 9)
+        # keys first seen out of order, non-contiguous ids, 5 a singleton
         labels = [7, 7, 2, 2, 7, 2, 5, 2, 7]
-        npt.assert_array_equal(groups.label_array(), labels)
+        groups = GroupIndex.from_labels(labels)
+        npt.assert_array_equal(groups.keys, [2, 5, 7])
+        npt.assert_array_equal(groups.counts, [4, 1, 4])
         C = combined_cross_covariance(phi_x, phi_y, groups, beta=0.4, group_weighting=weighting)
         npt.assert_allclose(C, brute_force_combined(phi_x, phi_y, labels, 0.4, weighting), atol=1e-12)
 
@@ -321,6 +305,27 @@ class TestCholeskyWhitening:
         assert np.isfinite(exc.value.eigenvalue)
         assert exc.value.eigenvalue == evals[0]
         assert exc.value.eigenvalue <= 1e-12 * evals[-1]
+
+    # more dimensions than samples, a duplicated row, a rank-2 product
+    @pytest.mark.parametrize("kind,seed", [("wide", 39), ("duplicate-row", 0), ("rank-2", 13)])
+    def test_singular_view_whose_pivots_round_positive(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "wide":
+            X = rng.standard_normal((6, 5))
+        elif kind == "duplicate-row":
+            X = rng.standard_normal((4, 12))
+            X[3] = X[1]
+        else:
+            X = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 12))
+        Y = rng.standard_normal((2, X.shape[1]))
+        C = regularized_covariance(X - X.mean(axis=1, keepdims=True), 0.0)
+        assert dpotrf(C, lower=1)[1] == 0  # the factorisation alone does not notice
+        with pytest.raises(NotPositiveDefiniteError, match="r > 0") as exc:
+            fit_cca(X, Y, k=1, r=0.0)
+        assert exc.value.eigenvalue == np.linalg.eigvalsh(C)[0]
+        # a ridge far below eps * trace(C) leaves it as singular
+        with pytest.raises(NotPositiveDefiniteError, match="r=1e-20 is too small"):
+            fit_cca(X, Y, k=1, r=1e-20)
 
 
 class TestCcaTransform:

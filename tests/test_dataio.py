@@ -1,6 +1,5 @@
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -36,6 +35,38 @@ def make_venue(vid, category=1, n_photos=3, d_x=6, d_y=4, seed=0):
         text=rng.standard_normal(d_y),
         photos=rng.standard_normal((n_photos, d_x)),
     )
+
+
+def reference_pairs(venues, split):
+    """build_pairs as a per-photo loop: (X, Y, venue_ids, categories, coords)
+    for train and for test, or the DatasetError it raises."""
+    venues = sorted(venues, key=lambda v: v.venue_id)
+    rng = np.random.default_rng(split.seed)
+    n_train = max(1, int(round(split.train_venue_fraction * len(venues))))
+    train_set = set(rng.permutation(len(venues))[:n_train].tolist())
+    train, test = [], []  # (venue, photo) in output order
+    for i, v in enumerate(venues):
+        if i not in train_set:
+            test.extend((v, p) for p in range(v.n_photos))
+            continue
+        if v.n_photos == 0:
+            raise DatasetError(f"training venue {v.venue_id!r} has no photos")
+        rest = np.arange(1, v.n_photos)
+        n_extra = int(round(split.extra_photo_ratio * len(rest)))
+        extra = sorted(rng.permutation(rest)[:n_extra].tolist())
+        train.extend((v, p) for p in [0] + extra)
+        test.extend((v, p) for p in rest.tolist() if p not in extra)
+    d_x, d_y = venues[0].photos.shape[1], venues[0].text.shape[0]
+    return [
+        (
+            np.array([v.photos[p] for v, p in pairs]).reshape(-1, d_x).T,
+            np.array([v.text for v, _ in pairs]).reshape(-1, d_y).T,
+            [v.venue_id for v, _ in pairs],
+            np.array([v.category for v, _ in pairs], dtype=int),
+            np.array([(v.lat, v.lon) for v, _ in pairs]).reshape(-1, 2),
+        )
+        for pairs in (train, test)
+    ]
 
 
 class TestMatrixFiles:
@@ -235,6 +266,46 @@ class TestBuildPairs:
         for ds in (train, test):
             for vid, cat in zip(ds.venue_ids, ds.categories):
                 assert by_id[vid] == cat
+
+    # photo counts are ragged, 0 and 1 included; the list is not in id order
+    RAGGED = [3, 0, 1, 5, 2, 0, 4, 1, 2, 3]
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "fraction,seed,photoless",
+        [(1.0, 5, False), (0.3, 0, True), (1.0, 5, True)],
+        ids=["all-train", "photoless-held-out", "photoless-trains"],
+    )
+    def test_matches_the_per_photo_loop(self, fraction, seed, photoless, ratio):
+        venues = [
+            make_venue(f"v{(7 * i) % 10}", category=1 + i % 4, n_photos=n, seed=i)
+            for i, n in enumerate(self.RAGGED)
+            if n or photoless
+        ]
+        split = SplitSpec(seed=seed, train_venue_fraction=fraction, extra_photo_ratio=ratio)
+        try:
+            expected = reference_pairs(venues, split)
+        except DatasetError as exc:
+            assert fraction == 1.0  # every venue trains, so a photoless one is rejected
+            with pytest.raises(DatasetError, match=f"^{exc}$"):
+                build_pairs(venues, split)
+            return
+        got = build_pairs(venues, split)
+        held_out = [v.n_photos for v in venues if v.venue_id not in got[0].venue_ids]
+        assert (0 in held_out) == photoless
+        for ds, (X, Y, ids, categories, coords) in zip(got, expected):
+            npt.assert_array_equal(ds.X, X, strict=True)
+            npt.assert_array_equal(ds.Y, Y, strict=True)
+            assert ds.venue_ids == ids
+            npt.assert_array_equal(ds.categories, categories, strict=True)
+            npt.assert_array_equal(ds.coords, coords, strict=True)
+
+    def test_held_out_photoless_venue_may_have_any_width(self):
+        venues = [make_venue(f"v{i}", seed=i) for i in range(4)]
+        venues.append(VenueRecord("a_empty", 1, 0.0, 0.0, np.zeros(4), np.empty((0, 0))))
+        train, test = build_pairs(venues, SplitSpec(seed=0, train_venue_fraction=0.5))
+        assert "a_empty" not in train.venue_ids + test.venue_ids
+        assert (train.X.shape[0], train.n + test.n) == (6, 12)
 
     def test_zero_photo_training_venue_rejected(self):
         v = VenueRecord("empty", 1, 0.0, 0.0, np.zeros(4), np.empty((0, 6)))

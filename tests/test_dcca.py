@@ -325,6 +325,15 @@ class TestTrainDcca:
         with pytest.raises(ValueError, match="batch_size"):
             train_dcca(train, small_config(batch_size=2, k=2))
 
+    def test_smallest_batch_checked_before_training(self, monkeypatch):
+        # 31 samples in batches of at most 3: nine batches of 3, then two of 2
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran before the batch size check")
+
+        monkeypatch.setattr(dcca, "mlp_forward", no_forward)
+        with pytest.raises(ValueError, match="^a batch of 2 samples cannot support k=2 components"):
+            train_dcca(make_dataset(14, n=31), small_config(batch_size=3, k=2))
+
     def test_diverging_run_names_epoch_and_batch(self):
         venues = synth_generate(SynthConfig(seed=0))
         train, _ = build_pairs(venues, SplitSpec(seed=0))

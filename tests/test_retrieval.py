@@ -19,7 +19,6 @@ from venuecca.dataio import (
 )
 from venuecca.neural import TrainConfig
 from venuecca.retrieval import (
-    EvalReport,
     GeoFilter,
     RankList,
     VenueIndex,
