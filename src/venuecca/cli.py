@@ -9,13 +9,15 @@ synth to <out>/config.json, train to <model>.config.json, index to
 parsed flags plus what the command resolved from them: the beta the
 method runs at, a kernel model's bandwidth and synth's SynthConfig.
 eval --model takes no training flag and records none.
-Outputs carry no timestamps; repeating a command with the same arguments
-produces byte identical files.
+Errors and warnings reach stderr as one "error: ..." or "warning: ..."
+line each. Outputs carry no timestamps; repeating a command with the
+same arguments produces byte identical files.
 """
 
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -352,16 +354,23 @@ def build_parser():
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "train" and args.method is None:
         parser.error("train requires --method")
-    try:
-        return args.func(args)
-    except (ValueError, DatasetError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    # Warnings print as one line each, like errors; filters are left as set.
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ValueError, DatasetError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -215,6 +215,10 @@ class VenueRecord:
         for modality in ("text", "photos"):
             if not np.isfinite(getattr(self, modality)).all():
                 raise DatasetError(f"venue {self.venue_id!r}: {modality} holds NaN or inf values")
+        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
+            raise DatasetError(
+                f"venue {self.venue_id!r}: position must be finite, got ({self.lat}, {self.lon})"
+            )
         if not CATEGORY_MIN <= int(self.category) <= CATEGORY_MAX:
             raise DatasetError(
                 f"venue {self.venue_id!r}: category {self.category} outside "
@@ -334,36 +338,48 @@ def write_dataset(venues, manifest_path):
         fh.write("\n")
 
 
-def _manifest_number(obj, key, kind, where):
+def _manifest_number(obj, key, kind, where=""):
     """obj[key] converted by kind (int or float); a DatasetError that names
-    where and the key if it does not convert."""
+    the key, after the prefix where, if it does not convert."""
     value = obj[key]
     try:
         return kind(value)
-    except (TypeError, ValueError):
-        raise DatasetError(f"{where}: {key!r} must be a number, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
+        raise DatasetError(f"{where}{key!r} must be a number, got {value!r}") from None
 
 
 def load_dataset(manifest_path):
     """Load a manifest and every feature file it references.
 
     Returns VenueRecords sorted by venue_id. Raises DatasetError with a
-    distinct message for a missing file, a dimension mismatch, a duplicate
-    venue id, an out-of-range category, a manifest that is not an object,
-    a venue entry that lacks a key or is not an object, or a dimension,
-    category or coordinate that is not a number.
+    distinct message, which names the manifest, for a missing file, a
+    manifest that is not JSON or not an object, a dimension mismatch, a
+    duplicate or non-string venue id, an out-of-range category, a venue
+    entry that lacks a key or is not an object, a dimension, category or
+    coordinate that is not a number, or a position that is not finite.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DatasetError(f"missing manifest: {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        return _read_manifest(manifest_path)
+    except DatasetError as e:
+        raise DatasetError(f"{manifest_path}: {e}") from None
+
+
+def _read_manifest(manifest_path):
+    """load_dataset's body; its DatasetErrors do not name the manifest."""
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as e:  # bad UTF-8 or JSON
+        raise DatasetError(f"not valid JSON ({e})") from None
     if not isinstance(manifest, dict):
-        raise DatasetError(f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}")
+        raise DatasetError(f"expected a JSON object, got {type(manifest).__name__}")
     for key in ("dim_x", "dim_y", "venues"):
         if key not in manifest:
             raise DatasetError(f"manifest lacks required key {key!r}")
-    dim_x, dim_y = (_manifest_number(manifest, key, int, manifest_path) for key in ("dim_x", "dim_y"))
+    dim_x, dim_y = (_manifest_number(manifest, key, int) for key in ("dim_x", "dim_y"))
     base = manifest_path.parent
     records = []
     seen = set()
@@ -371,6 +387,8 @@ def load_dataset(manifest_path):
     try:
         for i, entry in enumerate(manifest["venues"]):
             vid = entry["id"]
+            if not isinstance(vid, str):
+                raise DatasetError(f"venue entry {i}: 'id' must be a string, got {vid!r}")
             if vid in seen:
                 raise DatasetError(f"duplicate venue id {vid!r}")
             seen.add(vid)
@@ -391,17 +409,17 @@ def load_dataset(manifest_path):
             else:
                 photos = np.empty((0, dim_x))
             category, lat, lon = (
-                _manifest_number(entry, key, kind, f"{manifest_path}: venue entry {i}")
+                _manifest_number(entry, key, kind, f"venue entry {i}: ")
                 for key, kind in (("category", int), ("lat", float), ("lon", float))
             )
             records.append(
                 VenueRecord(venue_id=vid, category=category, lat=lat, lon=lon, text=text[0], photos=photos)
             )
     except KeyError as e:
-        raise DatasetError(f"{manifest_path}: venue entry {i} lacks key {e.args[0]!r}") from None
+        raise DatasetError(f"venue entry {i} lacks key {e.args[0]!r}") from None
     except TypeError as e:
         where = "'venues' is not a list" if i is None else f"venue entry {i} is malformed"
-        raise DatasetError(f"{manifest_path}: {where} ({e})") from None
+        raise DatasetError(f"{where} ({e})") from None
     records.sort(key=_venue_sort_key)
     return records
 

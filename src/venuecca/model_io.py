@@ -8,6 +8,8 @@ reproducibility guarantee leans on.
 
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from . import dataio
 from .cca import LinearCcaModel
 from .dcca import DeepCcaModel
@@ -214,7 +216,11 @@ def load_index(path):
         raise dataio.DatasetError(f"{path}: venue_ids must be a list of strings or of integers")
     if categories.shape[0] != 1:
         raise dataio.DatasetError(f"{path}: categories block must have one row, got {categories.shape[0]}")
+    categories = categories[0]
+    lo, hi = dataio.CATEGORY_MIN, dataio.CATEGORY_MAX
+    if not np.all((categories >= lo) & (categories <= hi) & (categories == np.round(categories))):
+        raise dataio.DatasetError(f"{path}: categories must be whole numbers in {lo}..{hi}")
     try:
-        return VenueIndex(venue_ids, categories[0].astype(int), coords, vectors)
+        return VenueIndex(venue_ids, categories.astype(int), coords, vectors)
     except ValueError as e:  # arrays that disagree on the venue count, duplicate ids
         raise dataio.DatasetError(f"{path}: {e}") from None

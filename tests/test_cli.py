@@ -4,6 +4,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +373,20 @@ class TestEval:
         )
         assert rc == 1
         assert "geo radius must be a finite number" in capsys.readouterr().err
+
+    def test_warning_prints_as_one_line(self, dataset, tmp_path, capsys):
+        model_path = tmp_path / "m.vcca"
+        train(dataset, model_path, "c-cca")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # the tests turn warnings into errors
+            rc = main(
+                ["eval", "--manifest", str(dataset), "--model", str(model_path),
+                 "--geo-radius", "5", "--out", str(tmp_path / "ev")]
+            )
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err == "warning: some cutoffs exceed a candidate pool; clamped to pool size\n"
 
     def test_needs_model_or_method(self, dataset, tmp_path, capsys):
         rc = main(["eval", "--manifest", str(dataset), "--out", str(tmp_path / "e")])

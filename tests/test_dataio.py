@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from venuecca.dataio import (
     DatasetError,
@@ -207,9 +209,14 @@ class TestManifestRoundTrip:
             (lambda m: m.update(dim_x="abc"), r"'dim_x' must be a number, got 'abc'"),
             (lambda m: m.update(dim_y=None), r"'dim_y' must be a number, got None"),
             (lambda m: m.update(dim_x=[4]), r"'dim_x' must be a number, got \[4\]"),
+            (lambda m: m["venues"][1].update(lat="nan"), r"venue 'b': position must be finite, got \(nan, 20.0\)"),
+            (lambda m: m["venues"][0].update(lon="-inf"), r"venue 'a': position must be finite, got \(10.0, -inf\)"),
+            (lambda m: m["venues"][0].update(category=1e400), r"venue entry 0: 'category' must be a number, got inf"),
+            (lambda m: m["venues"][1].update(id=7), r"venue entry 1: 'id' must be a string, got 7"),
         ],
         ids=["no-lat", "no-id", "venues-not-a-list", "entry-not-an-object", "manifest-not-an-object",
-             "lat-string", "lon-null", "category-string", "dim-string", "dim-null", "dim-list"],
+             "lat-string", "lon-null", "category-string", "dim-string", "dim-null", "dim-list",
+             "lat-nan", "lon-inf", "category-inf", "id-number"],
     )
     def test_malformed_entry_is_named(self, tmp_path, edit, message):
         write_dataset([make_venue("a"), make_venue("b", seed=1)], tmp_path / "manifest.json")
@@ -219,6 +226,29 @@ class TestManifestRoundTrip:
         with pytest.raises(DatasetError, match=message) as info:
             load_dataset(tmp_path / "manifest.json")
         assert "manifest.json" in str(info.value)
+
+    @given(flips=st.lists(st.tuples(st.integers(0, 599), st.integers(0, 255)), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_manifest_loads_or_raises_dataset_error(self, written_dataset, flips):
+        raw = bytearray((written_dataset / "manifest.json").read_bytes())
+        for at, byte in flips:
+            raw[at % len(raw)] = byte
+        path = written_dataset / "bent.json"
+        path.write_bytes(bytes(raw))
+        try:
+            load_dataset(path)
+        except DatasetError as e:
+            assert str(e).startswith(f"{path}: ")
+
+
+@pytest.fixture(scope="module")
+def written_dataset(tmp_path_factory):
+    """A directory holding a small dataset's manifest and feature files."""
+    root = tmp_path_factory.mktemp("written")
+    venues = [make_venue(vid, category=1 + i % 2, n_photos=2, d_x=3, d_y=2, seed=i)
+              for i, vid in enumerate("abcd")]
+    write_dataset(venues, root / "manifest.json")
+    return root
 
 
 class TestBuildPairs:

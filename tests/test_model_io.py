@@ -177,6 +177,73 @@ def test_truncated_model_raises_dataset_error(method, data):
             load_model(path)
 
 
+# 1-3 (offset, byte) replacements; an offset past a short file wraps
+FLIPS = st.lists(st.tuples(st.integers(0, 599), st.integers(0, 255)), min_size=1, max_size=3)
+
+
+def flipped(raw, flips):
+    out = bytearray(raw)
+    for at, byte in flips:
+        out[at % len(out)] = byte
+    return bytes(out)
+
+
+@pytest.mark.parametrize("method", ("cca", "kcca", "dcca"))
+@given(flips=FLIPS)
+@settings(max_examples=60, deadline=None)
+def test_mutated_model_loads_or_raises_dataset_error(method, flips):
+    raw = (GOLDEN / f"{method}.vcca").read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bent.vcca"
+        path.write_bytes(flipped(raw, flips))
+        try:
+            load_model(path)
+        except DatasetError as e:
+            assert "bent.vcca" in str(e)
+
+
+@given(flips=FLIPS)
+@settings(max_examples=150, deadline=None)
+def test_mutated_index_loads_or_raises_dataset_error(flips):
+    rng = np.random.default_rng(0)
+    index = VenueIndex(
+        venue_ids=[f"v{i}" for i in range(5)],
+        categories=1 + np.arange(5) % 3,
+        coords=rng.uniform(-1, 1, (5, 2)),
+        vectors=rng.standard_normal((3, 5)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bent.vidx"
+        save_index(index, path)
+        path.write_bytes(flipped(path.read_bytes(), flips))
+        try:
+            load_index(path)
+        except DatasetError as e:
+            assert "bent.vidx" in str(e)
+
+
+# case: (block, its value, what the error names); venue "b" holds the bad number
+BAD_INDEX_NUMBERS = {
+    "lat-nan": ("coords", [[0.0, 0.0], [np.nan, 0.0]], r"venue 'b': position must be finite, got \(nan, 0.0\)"),
+    "lon-inf": ("coords", [[0.0, 0.0], [0.0, np.inf]], r"venue 'b': position must be finite, got \(0.0, inf\)"),
+    "vector-length-overflows": ("vectors", [[1.0, 1e300], [1.0, 0.0]], r"venue 'b': vector length overflows"),
+    "category-nan": ("categories", [[1.0, np.nan]], r"categories must be whole numbers in 1\.\.10"),
+    "category-huge": ("categories", [[1.0, 1e300]], r"categories must be whole numbers in 1\.\.10"),
+    "category-fraction": ("categories", [[1.0, 1.5]], r"categories must be whole numbers in 1\.\.10"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INDEX_NUMBERS)
+def test_index_with_a_bad_number_is_named(case, tmp_path):
+    block, value, named = BAD_INDEX_NUMBERS[case]
+    blocks = {"vectors": np.ones((2, 2)), "coords": np.zeros((2, 2)), "categories": np.ones((1, 2))}
+    blocks[block] = np.array(value)
+    path = tmp_path / "m.vidx"
+    write_container(path, "venue-index", {"venue_ids": ["a", "b"]}, blocks)
+    with pytest.raises(DatasetError, match=f"m.vidx: {named}$"):
+        load_index(path)
+
+
 @pytest.mark.parametrize("key", ["beta", "config", "kernel"])
 def test_missing_meta_key_is_named(key, tmp_path):
     method = {"beta": "cca", "config": "dcca", "kernel": "kcca"}[key]

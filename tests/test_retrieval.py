@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from venuecca import fit, retrieval
 from venuecca.cca import LinearCcaModel
@@ -431,6 +433,29 @@ class TestRankAgainstKeySort:
             assert got.empty_after_filter == (case == "filter-empties-pool")
 
 
+class TestSortRows:
+    """The block ranker's row sort against the stable argsort, on keys with
+    many ties: a few small values, both signed zeros, and +inf columns
+    (the venues outside a geo filter)."""
+
+    VALUES = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.inf])
+
+    @given(
+        rows=st.sampled_from([1, 2, 7, 40]),
+        n=st.integers(1, 300),
+        far_share=st.sampled_from([0.0, 0.5, 0.97]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_stable_argsort(self, rows, n, far_share, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.choice(self.VALUES[: rng.integers(1, self.VALUES.size + 1)], (rows, n))
+        keys[:, rng.random(n) < far_share] = np.inf
+        stable = np.argsort(keys, axis=1, kind="stable")
+        for filtered in (False, True):
+            npt.assert_array_equal(retrieval._sort_rows(keys, filtered), stable)
+
+
 class TestEvaluate:
     def make_test_set(self, seed=6, n=40, k=3):
         rng = np.random.default_rng(seed)
@@ -671,16 +696,34 @@ class TestEvaluateAgainstReference:
             b = evaluate(identity_model(3), shuffled, test, geo_radius_km=1.0)
         assert a.to_json() == b.to_json()
 
+    # One-row chunks take the stable sort; three-row chunks of an
+    # unfiltered case take the SIMD sort and its re-sort of tied rows.
+    CHUNKING_CASES = {
+        "filtered": dict(geo_radius_km=1.0, position_noise_km=0.5, seed=3, weight_by_rho=True),
+        "no-filter": dict(),
+        "no-filter-weight-by-rho": dict(weight_by_rho=True),
+    }
+
     @pytest.mark.parametrize("rows", [1, 3])
     def test_chunking_does_not_change_report_bytes(self, monkeypatch, rows):
         index, test = quantised_case(far_every=4)
-        kwargs = dict(geo_radius_km=1.0, position_noise_km=0.5, seed=3, weight_by_rho=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            whole = evaluate(identity_model(3), index, test, **kwargs)
-            monkeypatch.setattr(retrieval, "CHUNK_ELEMENTS", rows * index.n)
-            chunked = evaluate(identity_model(3), index, test, **kwargs)
-        assert chunked.to_json() == whole.to_json()
+        for case, kwargs in self.CHUNKING_CASES.items():
+            with warnings.catch_warnings(), monkeypatch.context() as patch:
+                warnings.simplefilter("ignore")
+                whole = evaluate(identity_model(3), index, test, **kwargs)
+                patch.setattr(retrieval, "CHUNK_ELEMENTS", rows * index.n)
+                chunked = evaluate(identity_model(3), index, test, **kwargs)
+            assert chunked.to_json() == whole.to_json(), case
+
+    @pytest.mark.parametrize("weight_by_rho", [False, True])
+    def test_quantised_case_holds_tied_rows(self, weight_by_rho):
+        # so that the unfiltered cases above run the re-sort of tied rows
+        index, test = quantised_case()
+        ((_, order, keys, _),) = retrieval._ranked_chunks(
+            identity_model(3), index, test.X, weight_by_rho=weight_by_rho
+        )
+        ranked = np.take_along_axis(keys, order, axis=1)
+        assert (ranked[:, 1:] == ranked[:, :-1]).any(axis=1).sum() > test.n // 2
 
 
 @pytest.fixture(scope="module")
