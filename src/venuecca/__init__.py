@@ -34,7 +34,6 @@ from .kcca import KernelCcaModel, KernelMap, fit_kcca, gaussian_kernel, median_h
 from .linalg import (
     DegenerateBatchError,
     NotPositiveDefiniteError,
-    inv_sqrt_sym,
     regularized_covariance,
     svd_topk,
 )
@@ -53,7 +52,6 @@ from .retrieval import (
     mrr1,
     rank_venues,
     recall_precision_curve,
-    score,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +92,6 @@ __all__ = [
     "fit_kcca",
     "gaussian_kernel",
     "haversine_km",
-    "inv_sqrt_sym",
     "load_dataset",
     "load_index",
     "load_model",
@@ -108,7 +105,6 @@ __all__ = [
     "regularized_covariance",
     "save_index",
     "save_model",
-    "score",
     "svd_topk",
     "synth_generate",
     "train_dcca",

@@ -356,7 +356,8 @@ def load_dataset(manifest_path):
     manifest that is not JSON or not an object, a dimension mismatch, a
     duplicate or non-string venue id, an out-of-range category, a venue
     entry that lacks a key or is not an object, a dimension, category or
-    coordinate that is not a number, or a position that is not finite.
+    coordinate that is not a number, a negative dimension, or a position
+    that is not finite.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -380,6 +381,9 @@ def _read_manifest(manifest_path):
         if key not in manifest:
             raise DatasetError(f"manifest lacks required key {key!r}")
     dim_x, dim_y = (_manifest_number(manifest, key, int) for key in ("dim_x", "dim_y"))
+    for key, dim in (("dim_x", dim_x), ("dim_y", dim_y)):
+        if dim < 0:
+            raise DatasetError(f"{key!r} must be >= 0, got {dim}")
     base = manifest_path.parent
     records = []
     seen = set()

@@ -55,29 +55,6 @@ def regularized_covariance(Z, r):
     return C
 
 
-def inv_sqrt_sym(M):
-    """Inverse symmetric square root of an SPD matrix.
-
-    For M = Q diag(l) Q^T with l > 0 returns R = Q diag(l^-1/2) Q^T, which
-    satisfies R M R = I and is itself symmetric.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale = max(1.0, float(np.abs(M).max()))
-    if float(np.abs(M - M.T).max()) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-    evals, evecs = np.linalg.eigh(M)
-    smallest = float(evals[0])
-    if smallest <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: smallest eigenvalue {smallest:.6e}",
-            eigenvalue=smallest,
-        )
-    R = (evecs / np.sqrt(evals)) @ evecs.T
-    return (R + R.T) / 2.0
-
-
 def svd_topk(M, k):
     """Leading k singular triplets of M with a fixed sign convention.
 

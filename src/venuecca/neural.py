@@ -91,10 +91,6 @@ class MlpNetwork:
     def input_dim(self):
         return self.layers[0].W.shape[1]
 
-    @property
-    def output_dim(self):
-        return self.layers[-1].W.shape[0]
-
     def __call__(self, X):
         """Eval-mode output: the network as a deep model's feature map."""
         return mlp_forward(self, X, mode="eval").output

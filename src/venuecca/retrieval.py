@@ -154,21 +154,27 @@ def _unit_columns(V):
     return V / _column_norms(V)
 
 
-def score(u, v):
-    """Cosine similarity; any zero vector scores 0 by convention."""
-    u = np.asarray(u, dtype=float).reshape(-1, 1)
-    v = np.asarray(v, dtype=float).reshape(-1, 1)
-    if u.shape != v.shape:
-        raise ValueError("score expects vectors of one dimensionality")
-    return float(_unit_columns(u)[:, 0] @ _unit_columns(v)[:, 0])
-
-
 def _check_queries_finite(block, start, query_ids):
     """Raise naming the first column of block (query start + i) that is not finite."""
     if not np.isfinite(block).all():
         i = start + int(np.argmin(np.isfinite(block).all(axis=0)))
         name = i if query_ids is None else query_ids[i]
         raise ValueError(f"query {name} projects to a non-finite vector")
+
+
+def _check_projections(Q, start, query_ids):
+    """Raise naming the first column of Q (query start + i) that is not
+    finite, or whose length overflows and so would score every venue 0."""
+    # No entry beyond 1e150 / k: k squares sum to at most 1e300, so one pass decides.
+    if np.abs(Q).max() <= 1e150 / len(Q):
+        return
+    _check_queries_finite(Q, start, query_ids)
+    with np.errstate(over="ignore"):
+        over = np.isinf(_column_norms(Q))
+    if over.any():
+        i = start + int(np.argmax(over))
+        name = i if query_ids is None else query_ids[i]
+        raise ValueError(f"query {name} projects to a vector whose length overflows")
 
 
 def _ranked_chunks(model, index, Z, centres=None, radius_km=None, weight_by_rho=False, query_ids=None):
@@ -182,8 +188,8 @@ def _ranked_chunks(model, index, Z, centres=None, radius_km=None, weight_by_rho=
     first pool[i] of them inside the query's pool; order is what a stable
     argsort of keys gives (see _sort_rows). keys holds the negated scores
     by position, +inf outside the pool. A query whose features or
-    projection are not finite raises ValueError naming it (query_ids[i],
-    or its column in Z).
+    projection are not finite, or whose projection's length overflows,
+    raises ValueError naming it (query_ids[i], or its column in Z).
     """
     units = index._units
     w = None
@@ -197,7 +203,7 @@ def _ranked_chunks(model, index, Z, centres=None, radius_km=None, weight_by_rho=
         # raw features are checked as well as their projection.
         _check_queries_finite(chunk, start, query_ids)
         Q = model.project(chunk, "image")
-        _check_queries_finite(Q, start, query_ids)
+        _check_projections(Q, start, query_ids)
         if w is not None:
             Q = Q * w
         # Dividing the raw query products by |q| keeps exact ties exact.

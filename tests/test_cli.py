@@ -264,6 +264,21 @@ class TestIndexRetrieve:
         err = capsys.readouterr().err
         assert err.startswith("error: query 1 projects to a non-finite vector")
 
+    def test_query_whose_length_overflows_is_an_error(self, dataset, trained, tmp_path, capsys):
+        model_path, index_path = trained
+        venues = load_dataset(dataset)
+        # finite features whose projection is finite, but its squared length is not
+        queries = np.stack([venues[0].photos[0], 1e200 * venues[1].photos[0]])
+        qfile = tmp_path / "q.csv"
+        write_matrix_csv(qfile, queries)
+        rc = main(
+            ["retrieve", "--model", str(model_path), "--index", str(index_path),
+             "--query", str(qfile)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: query 1 projects to a vector whose length overflows")
+
     def test_retrieve_matches_rank_venues(self, dataset, trained, tmp_path, capsys):
         model_path, index_path = trained
         venues = load_dataset(dataset)
@@ -662,6 +677,22 @@ class TestEntryPoint:
         assert proc.stderr.startswith("error: ") and "null_dim.json" in proc.stderr
         assert "'dim_x' must be a number, got None" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_negative_dimension_is_an_error_not_a_traceback(self, dataset, tmp_path, capsys):
+        manifest = json.loads(dataset.read_text())
+        manifest["dim_x"] = -3
+        for entry in manifest["venues"]:
+            entry["photo_files"] = []
+        bad = dataset.parent / "negative_dim.json"
+        bad.write_text(json.dumps(manifest))
+        rc = main(
+            ["train", "--manifest", str(bad), "--method", "cca",
+             "--out", str(tmp_path / "x.vcca")] + TINY_TRAIN
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "negative_dim.json" in err
+        assert "'dim_x' must be >= 0, got -3" in err
 
     def test_unknown_method_rejected(self, dataset, tmp_path):
         with pytest.raises(SystemExit):

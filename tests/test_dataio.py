@@ -209,13 +209,16 @@ class TestManifestRoundTrip:
             (lambda m: m.update(dim_x="abc"), r"'dim_x' must be a number, got 'abc'"),
             (lambda m: m.update(dim_y=None), r"'dim_y' must be a number, got None"),
             (lambda m: m.update(dim_x=[4]), r"'dim_x' must be a number, got \[4\]"),
+            (lambda m: m.update(dim_x=-3, venues=[dict(v, photo_files=[]) for v in m["venues"]]),
+             r"'dim_x' must be >= 0, got -3"),
+            (lambda m: m.update(dim_y=-1), r"'dim_y' must be >= 0, got -1"),
             (lambda m: m["venues"][1].update(lat="nan"), r"venue 'b': position must be finite, got \(nan, 20.0\)"),
             (lambda m: m["venues"][0].update(lon="-inf"), r"venue 'a': position must be finite, got \(10.0, -inf\)"),
             (lambda m: m["venues"][0].update(category=1e400), r"venue entry 0: 'category' must be a number, got inf"),
             (lambda m: m["venues"][1].update(id=7), r"venue entry 1: 'id' must be a string, got 7"),
         ],
         ids=["no-lat", "no-id", "venues-not-a-list", "entry-not-an-object", "manifest-not-an-object",
-             "lat-string", "lon-null", "category-string", "dim-string", "dim-null", "dim-list",
+             "lat-string", "lon-null", "category-string", "dim-string", "dim-null", "dim-list", "dim-x-negative", "dim-y-negative",
              "lat-nan", "lon-inf", "category-inf", "id-number"],
     )
     def test_malformed_entry_is_named(self, tmp_path, edit, message):

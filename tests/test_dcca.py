@@ -8,8 +8,9 @@ from venuecca import dcca
 from venuecca.cca import GroupIndex, blend_partners
 from venuecca.dataio import PairedDataset, SplitSpec, SynthConfig, build_pairs, synth_generate
 from venuecca.dcca import cca_objective, stratified_batches, train_dcca
-from venuecca.linalg import inv_sqrt_sym, regularized_covariance
 from venuecca.neural import MlpNetwork, TrainConfig
+
+from reference import full_svd_cca
 
 
 def make_dataset(seed, n=40, d_x=6, d_y=5, n_cats=4, coupled=True):
@@ -55,9 +56,7 @@ def reference_objective(Hx, Hy, groups=None, beta=1.0, r=1e-4, k=None, group_wei
     rescale = n / (n - 1.0)
     Ex = blend_partners(Hxc, groups, beta, group_weighting)
     Ey = blend_partners(Hyc, groups, beta, group_weighting)
-    A = inv_sqrt_sym(regularized_covariance(Hxc, r))
-    B = inv_sqrt_sym(regularized_covariance(Hyc, r))
-    U, s, Vt = np.linalg.svd(A @ (rescale * (Hxc @ Ey.T)) @ B)
+    A, B, U, s, Vt = full_svd_cca(Hxc, Hyc, rescale * (Hxc @ Ey.T), r)
     Uk, Vk, sk = U[:, :k], Vt[:k].T, s[:k]
     nabla_xy = A @ Uk @ Vk.T @ B
     nabla_xx = -0.5 * (A @ (Uk * sk) @ Uk.T @ A)

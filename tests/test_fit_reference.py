@@ -11,8 +11,9 @@ import pytest
 from venuecca.cca import GroupIndex, LinearCcaModel, combined_cross_covariance, fit_cca
 from venuecca.dataio import SplitSpec, SynthConfig, build_pairs, synth_generate
 from venuecca.kcca import KernelCcaModel, KernelMap, fit_kcca, median_heuristic_bandwidth
-from venuecca.linalg import inv_sqrt_sym, regularized_covariance
 from venuecca.retrieval import GeoFilter, build_index, rank_venues
+
+from reference import full_svd_cca
 
 K, RIDGE, BETA = 10, 1e-4, 0.3
 
@@ -23,10 +24,8 @@ def reference_head(X, Y, groups):
     mean_x, mean_y = X.mean(axis=1), Y.mean(axis=1)
     Xc = X - mean_x[:, None]
     Yc = Y - mean_y[:, None]
-    A = inv_sqrt_sym(regularized_covariance(Xc, RIDGE))
-    B = inv_sqrt_sym(regularized_covariance(Yc, RIDGE))
     Cxy = combined_cross_covariance(Xc, Yc, groups, BETA) * (n / (n - 1))
-    U, s, Vt = np.linalg.svd(A @ Cxy @ B)
+    A, B, U, s, Vt = full_svd_cca(Xc, Yc, Cxy, RIDGE)
     Wx, Wy = A @ U[:, :K], B @ Vt[:K].T
     flip = Wx[np.argmax(np.abs(Wx), axis=0), np.arange(K)] < 0
     Wx[:, flip] *= -1.0

@@ -1,11 +1,14 @@
-"""Static check: every module of the package reads each name it imports."""
+"""Static check: every module of the package, and every test and demo
+script, reads each name it imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "venuecca"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "venuecca"
+SCRIPTS = sorted(p.relative_to(ROOT).as_posix() for d in ("tests", "demos") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source):
@@ -48,3 +51,9 @@ def test_checker_finds_what_it_should():
 def test_no_unused_imports(module):
     unused = unused_imports((PACKAGE / module).read_text(encoding="utf-8"))
     assert not unused, f"venuecca/{module} imports but never reads: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_no_unused_imports_in_scripts(script):
+    unused = unused_imports((ROOT / script).read_text(encoding="utf-8"))
+    assert not unused, f"{script} imports but never reads: {', '.join(unused)}"

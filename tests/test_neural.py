@@ -57,7 +57,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         std = Standardizer(mean=np.zeros(4096), std=np.ones(4096))
         net = MlpNetwork.init((4096, 1024, 1024, 10), std, rng, dropout_rate=0.5)
-        assert net.input_dim == 4096 and net.output_dim == 10
+        assert net.input_dim == 4096 and net.layers[-1].W.shape[0] == 10
         assert [l.activation for l in net.layers] == ["tanh", "tanh", "linear"]
         assert [l.dropout_rate for l in net.layers] == [0.5, 0.5, 0.0]
         out = mlp_forward(net, rng.standard_normal((4096, 100))).output

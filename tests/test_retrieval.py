@@ -32,7 +32,6 @@ from venuecca.retrieval import (
     rank_photos,
     rank_venues,
     recall_precision_curve,
-    score,
 )
 
 
@@ -75,24 +74,36 @@ def ranklist(ids, cats, true_venue=None, true_cat=None):
 
 
 class TestScore:
+    """The ranker scores a venue by the cosine of its vector and the query's."""
+
+    @staticmethod
+    def scores(photo, venue_vectors):
+        got = rank(np.asarray(photo, dtype=float), make_index(np.array(venue_vectors, dtype=float).T))
+        return dict(zip(got.venue_ids, got.scores.tolist()))
+
     def test_cosine_examples(self):
-        assert score([1, 0], [1, 0]) == pytest.approx(1.0)
-        assert score([1, 0], [0, 1]) == pytest.approx(0.0)
-        assert score([1, 0], [-1, 0]) == pytest.approx(-1.0)
-        assert score([1, 1], [1, 0]) == pytest.approx(1 / np.sqrt(2))
+        got = self.scores([1, 0], [[1, 0], [0, 1], [-1, 0]])
+        assert got == pytest.approx({"v000": 1.0, "v001": 0.0, "v002": -1.0})
+        assert self.scores([1, 1], [[1, 0]])["v000"] == pytest.approx(1 / np.sqrt(2))
 
     def test_zero_vector_convention(self):
-        assert score([0, 0], [1, 2]) == 0.0
-        assert score([1, 2], [0, 0]) == 0.0
+        got = self.scores([0, 0], [[1, 2], [-3, 1]])
+        assert got == {"v000": 0.0, "v001": 0.0}
+        assert not np.signbit(list(got.values())).any()
+        assert self.scores([1, 2], [[0, 0], [1, 2]])["v000"] == 0.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
-        u, v = rng.standard_normal(5), rng.standard_normal(5)
-        assert score(17.0 * u, 0.01 * v) == pytest.approx(score(u, v), abs=1e-12)
+        u, V = rng.standard_normal(5), rng.standard_normal((4, 5))
+        V[0] *= 0.01
+        got, want = self.scores(17.0 * u, V), self.scores(u, V)
+        assert got.keys() == want.keys()
+        for vid, value in want.items():
+            assert abs(got[vid] - value) <= 1e-12
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="dimensionality"):
-            score([1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="expects 2-dim vectors, got 3"):
+            rank(np.array([1.0, 2.0, 3.0]), make_index(np.eye(2)))
 
 
 class TestIndex:
@@ -205,6 +216,14 @@ class TestRankVenues:
         index = make_index(np.eye(3))
         with pytest.raises(ValueError, match="query q7 projects to a non-finite vector"):
             rank(np.array([0.0, np.nan, 1.0]), index, query_id="q7")
+
+    def test_query_whose_length_overflows_is_named(self):
+        # its squared length is inf, which would score every venue 0 and rank by id
+        index = make_index(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]))
+        with pytest.raises(ValueError, match="^query q7 projects to a vector whose length overflows$"):
+            rank(np.array([1e300, 0.0]), index, query_id="q7")
+        # a long query whose squared length still fits ranks by cosine as usual
+        assert rank(np.array([1e154, 0.0]), index).venue_ids == ["v000", "v002", "v001"]
 
     def test_weight_by_rho_changes_order(self):
         model = LinearCcaModel(
@@ -540,6 +559,12 @@ class TestEvaluate:
         test = self.make_test_set()
         test.X[1, 5] = np.nan
         with pytest.raises(ValueError, match="query 5 projects to a non-finite vector"):
+            evaluate(identity_model(3), self.make_parallel_index(test), test)
+
+    def test_query_whose_length_overflows_is_named(self):
+        test = self.make_test_set()
+        test.X[:, 5] = [0.0, -1e300, 0.0]
+        with pytest.raises(ValueError, match="^query 5 projects to a vector whose length overflows$"):
             evaluate(identity_model(3), self.make_parallel_index(test), test)
 
     def test_bad_radius_rejected_before_ranking(self, monkeypatch):
