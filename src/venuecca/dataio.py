@@ -102,11 +102,17 @@ def read_matrix_csv(path):
         header = fh.readline().strip()
         try:
             rows, cols = (int(t) for t in header.split(","))
+            if min(rows, cols) < 0:
+                raise ValueError
         except ValueError:
             raise DatasetError(f"{path}: malformed CSV header {header!r}") from None
-        data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
-    if rows == 0:
-        data = np.empty((0, cols))
+        body = fh.readlines()
+    # loadtxt warns on input that holds no data, so it reads only a body with some
+    has_data = any(line.strip() for line in body)
+    try:
+        data = np.loadtxt(body, delimiter=",", ndmin=2, dtype=float) if has_data else np.empty((0, cols))
+    except ValueError as e:  # a value that is not a number, or ragged rows
+        raise DatasetError(f"{path}: {e}") from None
     if data.shape != (rows, cols):
         raise DatasetError(
             f"{path}: header declares {rows}x{cols} but file holds {data.shape}"

@@ -34,10 +34,6 @@ def gaussian_kernel(A, B, sigma):
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 
-def linear_kernel(A, B):
-    return np.asarray(A, dtype=float).T @ np.asarray(B, dtype=float)
-
-
 def median_heuristic_bandwidth(X):
     """Median pairwise distance between columns of X, a classic sigma.
 
@@ -58,29 +54,20 @@ def _center_columns(K_cols, mu, grand):
     return K_cols - K_cols.mean(axis=0, keepdims=True) - mu[:, None] + grand
 
 
-def _gram(model_kernel, A, B, sigma):
-    if model_kernel == "gaussian":
-        return gaussian_kernel(A, B, sigma)
-    if model_kernel == "linear":
-        return linear_kernel(A, B)
-    raise ValueError(f"unknown kernel {model_kernel!r}")
-
-
 @dataclass
 class KernelMap:
-    """One view's feature map: centered kernel columns against ``train``."""
+    """One view's feature map: centered Gaussian kernel columns against ``train``."""
 
     train: np.ndarray
-    kernel: str
     sigma: float
     mu: np.ndarray
     grand: float
 
     @classmethod
-    def fit(cls, X, kernel, sigma):
+    def fit(cls, X, sigma):
         """The map fitted on X, and the centered Gram of X under it."""
-        K = _gram(kernel, X, X, sigma)
-        fmap = cls(X.copy(), kernel, sigma, K.mean(axis=1), float(K.mean()))
+        K = gaussian_kernel(X, X, sigma)
+        fmap = cls(X.copy(), sigma, K.mean(axis=1), float(K.mean()))
         return fmap, _center_columns(K, fmap.mu, fmap.grand)
 
     @property
@@ -88,7 +75,7 @@ class KernelMap:
         return self.train.shape[0]
 
     def __call__(self, Z):
-        K = _gram(self.kernel, self.train, Z, self.sigma)
+        K = gaussian_kernel(self.train, Z, self.sigma)
         return _center_columns(K, self.mu, self.grand)
 
 
@@ -122,10 +109,9 @@ def fit_kcca(
     sigma_y=None,
     groups=None,
     beta=1.0,
-    kernel="gaussian",
     group_weighting="size",
 ):
-    """Fit (category-weighted) kernel CCA.
+    """Fit (category-weighted) kernel CCA with a Gaussian kernel per view.
 
     sigma defaults to the median heuristic per side. r > 0 is effectively
     required: the centered Gram matrix is rank-deficient (centering kills
@@ -135,13 +121,10 @@ def fit_kcca(
     Y = np.asarray(Y, dtype=float)
     if X.shape[1] != Y.shape[1]:
         raise ValueError("X and Y must pair the same samples")
-    if kernel == "gaussian":
-        sigma_x = float(sigma_x) if sigma_x is not None else median_heuristic_bandwidth(X)
-        sigma_y = float(sigma_y) if sigma_y is not None else median_heuristic_bandwidth(Y)
-    else:
-        sigma_x = sigma_y = 0.0
-    map_x, Rx = KernelMap.fit(X, kernel, sigma_x)
-    map_y, Ry = KernelMap.fit(Y, kernel, sigma_y)
+    sigma_x = float(sigma_x) if sigma_x is not None else median_heuristic_bandwidth(X)
+    sigma_y = float(sigma_y) if sigma_y is not None else median_heuristic_bandwidth(Y)
+    map_x, Rx = KernelMap.fit(X, sigma_x)
+    map_y, Ry = KernelMap.fit(Y, sigma_y)
     try:
         head = fit_cca(Rx, Ry, k, r, groups=groups, beta=beta, group_weighting=group_weighting)
     except NotPositiveDefiniteError as e:

@@ -39,6 +39,8 @@ def regularized_covariance(Z, r):
     construction, and every eigenvalue is >= r because Z Z^T is PSD.
     """
     Z = np.asarray(Z, dtype=float)
+    if not (Z.flags.c_contiguous or Z.flags.f_contiguous):
+        Z = np.ascontiguousarray(Z)  # Z Z^T of a strided batch need not be exactly symmetric
     if Z.ndim != 2:
         raise ValueError(f"expected a (d, n) batch, got shape {Z.shape}")
     d, n = Z.shape
@@ -49,8 +51,7 @@ def regularized_covariance(Z, r):
     if not np.isfinite(r) or r < 0:
         raise ValueError(f"ridge must be a finite value >= 0, got {r}")
     C = Z @ Z.T
-    # Exact symmetry, so eigh downstream sees what the contract promises.
-    C = (C + C.T) / (2.0 * (n - 1))
+    C /= n - 1
     C[np.diag_indices(d)] += r
     return C
 

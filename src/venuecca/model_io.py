@@ -42,13 +42,20 @@ def _head_meta(head, prefix=""):
     }
 
 
+def _row(blocks, name):
+    """The one row of a (1, n) block."""
+    if blocks[name].shape[0] != 1:
+        raise ValueError(f"block {name!r} must have one row, got {blocks[name].shape[0]}")
+    return blocks[name][0]
+
+
 def _head_from(meta, blocks, prefix=""):
     return LinearCcaModel(
-        mean_x=blocks[f"{prefix}mean_x"][0],
-        mean_y=blocks[f"{prefix}mean_y"][0],
+        mean_x=_row(blocks, f"{prefix}mean_x"),
+        mean_y=_row(blocks, f"{prefix}mean_y"),
         Wx=blocks[f"{prefix}Wx"],
         Wy=blocks[f"{prefix}Wy"],
-        rho=blocks[f"{prefix}rho"][0],
+        rho=_row(blocks, f"{prefix}rho"),
         r=float(meta[f"{prefix}r"]),
         beta=float(meta[f"{prefix}beta"]),
     )
@@ -74,12 +81,12 @@ def _net_meta(net):
 
 def _net_from(layer_meta, blocks, prefix):
     std = Standardizer(
-        mean=blocks[f"{prefix}std_mean"][0], std=blocks[f"{prefix}std_std"][0]
+        mean=_row(blocks, f"{prefix}std_mean"), std=_row(blocks, f"{prefix}std_std")
     )
     layers = [
         Layer(
             W=blocks[f"{prefix}W{i}"],
-            b=blocks[f"{prefix}b{i}"][0],
+            b=_row(blocks, f"{prefix}b{i}"),
             activation=m["activation"],
             dropout_rate=m["dropout_rate"],
         )
@@ -91,7 +98,7 @@ def _net_from(layer_meta, blocks, prefix):
 def _kernel_parts(model):
     map_x, map_y, head = model.map_x, model.map_y, model.head
     meta = {
-        "kernel": map_x.kernel,
+        "kernel": "gaussian",
         "sigma_x": map_x.sigma,
         "sigma_y": map_y.sigma,
         "grand_x": map_x.grand,
@@ -114,9 +121,8 @@ def _kernel_parts(model):
 def _kernel_map_from(meta, blocks, side):
     return KernelMap(
         train=blocks[f"{side.upper()}train"],
-        kernel=meta["kernel"],
         sigma=float(meta[f"sigma_{side}"]),
-        mu=blocks[f"mu_{side}"][0],
+        mu=_row(blocks, f"mu_{side}"),
         grand=float(meta[f"grand_{side}"]),
     )
 
@@ -150,45 +156,71 @@ def save_model(model, path):
     dataio.write_container(path, kind, meta, blocks)
 
 
-def _config_from(cfg, path):
-    """The TrainConfig a deep model file stores, or a DatasetError naming the key."""
+def _config_from(cfg):
+    """The TrainConfig a deep model file stores; a ValueError names the bad key."""
     if not isinstance(cfg, dict):
-        raise dataio.DatasetError(f"{path}: deep-cca config must be an object")
+        raise ValueError("deep-cca config must be an object")
     known = {f.name for f in fields(TrainConfig)}
     for key in cfg:
         if key not in known:
-            raise dataio.DatasetError(f"{path}: deep-cca config has unknown key {key!r}")
+            raise ValueError(f"deep-cca config has unknown key {key!r}")
     if not isinstance(cfg["hidden_sizes"], list):
-        raise dataio.DatasetError(f"{path}: deep-cca config key 'hidden_sizes' must be a list")
+        raise ValueError("deep-cca config key 'hidden_sizes' must be a list")
     try:
         return TrainConfig(**cfg)
     except (TypeError, ValueError) as e:
-        raise dataio.DatasetError(f"{path}: deep-cca config is invalid: {e}") from None
+        raise ValueError(f"deep-cca config is invalid: {e}") from None
+
+
+def _model_from(kind, meta, blocks):
+    if kind == KIND_LINEAR:
+        return _head_from(meta, blocks)
+    if kind == KIND_KERNEL:
+        if meta["kernel"] != "gaussian":
+            raise ValueError(f"unknown kernel {meta['kernel']!r}; only 'gaussian' is supported")
+        return KernelCcaModel(
+            map_x=_kernel_map_from(meta, blocks, "x"),
+            map_y=_kernel_map_from(meta, blocks, "y"),
+            head=_head_from(meta, blocks, "head_"),
+        )
+    if kind == KIND_DEEP:
+        return DeepCcaModel(
+            net_x=_net_from(meta["net_x_layers"], blocks, "net_x_"),
+            net_y=_net_from(meta["net_y_layers"], blocks, "net_y_"),
+            head=_head_from(meta, blocks, "head_"),
+            config=_config_from(meta["config"]),
+            history_objective=_row(blocks, "history_objective"),
+            history_epoch=_row(blocks, "history_epoch").astype(int),
+        )
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
+def _check_projects(model, kind):
+    """A zero vector must project through each side to finite values, so
+    blocks that do not fit together fail at load, not at the first query."""
+    maps = getattr(model, "feature_maps", None)
+    dims = [m.input_dim for m in maps] if maps else [model.mean_x.size, model.mean_y.size]
+    for side, dim in zip(("image", "text"), dims):
+        try:
+            with np.errstate(all="ignore"):
+                finite = np.isfinite(model.project(np.zeros(dim), side)).all()
+        except ValueError as e:
+            raise ValueError(f"{kind} file does not project a zero {side} vector ({e})") from None
+        if not finite:
+            raise ValueError(f"{kind} file projects a zero {side} vector to values that are not finite")
 
 
 def load_model(path):
+    """The model a file holds, or a DatasetError that names the file."""
     kind, meta, blocks = dataio.read_container(path)
     try:
-        if kind == KIND_LINEAR:
-            return _head_from(meta, blocks)
-        if kind == KIND_KERNEL:
-            return KernelCcaModel(
-                map_x=_kernel_map_from(meta, blocks, "x"),
-                map_y=_kernel_map_from(meta, blocks, "y"),
-                head=_head_from(meta, blocks, "head_"),
-            )
-        if kind == KIND_DEEP:
-            return DeepCcaModel(
-                net_x=_net_from(meta["net_x_layers"], blocks, "net_x_"),
-                net_y=_net_from(meta["net_y_layers"], blocks, "net_y_"),
-                head=_head_from(meta, blocks, "head_"),
-                config=_config_from(meta["config"], path),
-                history_objective=blocks["history_objective"][0],
-                history_epoch=blocks["history_epoch"][0].astype(int),
-            )
+        model = _model_from(kind, meta, blocks)
+        _check_projects(model, kind)
     except KeyError as e:
         raise dataio.DatasetError(f"{path}: {kind} file has no {e.args[0]!r} entry") from None
-    raise dataio.DatasetError(f"{path}: unknown model kind {kind!r}")
+    except (TypeError, ValueError) as e:  # a value of the wrong type or range
+        raise dataio.DatasetError(f"{path}: {e}") from None
+    return model
 
 
 def save_index(index, path):

@@ -468,7 +468,6 @@ def evaluate(
     index,
     test,
     geo_radius_km=None,
-    cutoffs=None,
     position_noise_km=0.0,
     seed=0,
     weight_by_rho=False,
@@ -478,12 +477,11 @@ def evaluate(
     Query positions are the true venue positions; position_noise_km > 0
     perturbs them with an isotropic Gaussian of that sigma (a stand-in
     for coarse positioning), and a negative or non-finite value is
-    rejected. geo_radius_km enables the location filter.
+    rejected. geo_radius_km enables the location filter. The curve's
+    cutoffs are those of 1, 2, 5, 10, 20, 50 and index.n in 1..index.n.
     """
-    if cutoffs is None:
-        cutoffs = sorted({1, 2, 5, 10, 20, 50, index.n} - {0})
-        cutoffs = [c for c in cutoffs if c <= index.n]
-    cutoff_array = _check_cutoffs(cutoffs)
+    cutoffs = np.unique([1, 2, 5, 10, 20, 50, index.n])
+    cutoffs = cutoffs[(cutoffs >= 1) & (cutoffs <= index.n)]
     _check_position_noise(position_noise_km)
     centres = None
     if geo_radius_km is not None:
@@ -499,7 +497,7 @@ def evaluate(
     true_category = np.asarray(test.categories, dtype=int)
     true_rank = np.zeros(test.n, dtype=int)
     ap = np.empty(test.n)
-    curve = np.empty((test.n, cutoff_array.size, 2))
+    curve = np.empty((test.n, cutoffs.size, 2))
     clamped = False
     for start, order, _, pool in _ranked_chunks(
         model, index, test.X, centres, geo_radius_km, weight_by_rho
@@ -509,7 +507,7 @@ def evaluate(
         rel = (index._categories[order] == true_category[rows, None]) & in_pool
         at_truth = (order == true_position[rows, None]) & in_pool
         true_rank[rows] = np.where(at_truth.any(axis=1), at_truth.argmax(axis=1) + 1, 0)
-        ap[rows], curve[rows], chunk_clamped = _query_metrics(rel, pool, cutoff_array)
+        ap[rows], curve[rows], chunk_clamped = _query_metrics(rel, pool, cutoffs)
         clamped = clamped or chunk_clamped
     map_value, skipped = _mean_ap(ap)
     present = ~np.isnan(ap)
@@ -522,7 +520,7 @@ def evaluate(
         mrr1=_reciprocal_rank_mean(true_rank),
         map=map_value,
         per_category_map=per_cat,
-        cutoffs=list(cutoffs),
+        cutoffs=cutoffs.tolist(),
         recall_precision=_mean_curve(curve[present], clamped),
         n_queries=test.n,
         n_skipped=skipped,

@@ -78,6 +78,21 @@ class TestSynth:
         va, vb = load_dataset(a / "manifest.json"), load_dataset(b / "manifest.json")
         assert not np.array_equal(va[0].text, vb[0].text)
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--n-categories", "11", "n_categories must lie in 1..10"),
+            ("--dim-x", "0", "feature dims must be >= 1"),
+            ("--geo-cluster-radius", "-1", "geo_cluster_radius_km must be >= 0"),
+        ],
+    )
+    def test_bad_setting_is_an_error_and_writes_nothing(self, tmp_path, capsys, flag, value, message):
+        args = SYNTH_ARGS + [flag, value]
+        rc = main(["synth", "--out", str(tmp_path / "out")] + args)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_each_method_trains_and_saves(self, dataset, tmp_path):
@@ -135,6 +150,16 @@ class TestTrain:
         )
         assert rc == 1
         assert "sigma" in capsys.readouterr().err
+
+    def test_batch_above_the_pair_count_is_an_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "x.vcca"
+        rc = main(
+            ["train", "--manifest", str(dataset), "--method", "c-dcca", "--out", str(out)]
+            + TINY_TRAIN + ["--batch-size", "10000"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: batch_size 10000 exceeds n=")
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_requires_method(self, dataset, tmp_path):
         with pytest.raises(SystemExit):
@@ -224,6 +249,33 @@ class TestIndexRetrieve:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_geo_filter_that_excludes_every_venue_is_reported(self, dataset, trained, tmp_path, capsys):
+        model_path, index_path = trained
+        qfile = tmp_path / "q.csv"
+        write_matrix_csv(qfile, load_dataset(dataset)[0].photos[:2])
+        rc = main(
+            ["retrieve", "--model", str(model_path), "--index", str(index_path),
+             "--query", str(qfile), "--lat", "-89", "--lon", "0", "--geo-radius", "1"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out == "query 0: geo filter excluded every venue\nquery 1: geo filter excluded every venue\n"
+
+    def test_zero_query_file_ranks_nothing_and_warns_nothing(self, trained, tmp_path, capsys):
+        model_path, index_path = trained
+        qfile = tmp_path / "q.csv"
+        write_matrix_csv(qfile, np.empty((0, 8)))
+        out_csv = tmp_path / "ranks.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # so a warning prints rather than raises
+            rc = main(
+                ["retrieve", "--model", str(model_path), "--index", str(index_path),
+                 "--query", str(qfile), "--out", str(out_csv)]
+            )
+        assert rc == 0
+        assert capsys.readouterr() == ("", "")
+        assert out_csv.read_text() == "query,rank,venue_id,score\n"
 
     def test_zero_radius_is_valid(self, dataset, trained, tmp_path, capsys):
         model_path, index_path = trained
@@ -351,6 +403,20 @@ class TestEval:
         assert rc == 1
         assert "--folds" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
+
+    def test_folds_with_a_saved_model_rejected_before_any_file_is_read(self, tmp_path, capsys, monkeypatch):
+        def no_read(path):
+            raise AssertionError(f"{path} was read before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_dataset", no_read)
+        monkeypatch.setattr(cli, "load_model", no_read)
+        rc = main(
+            ["eval", "--manifest", str(tmp_path / "manifest.json"), "--model", str(tmp_path / "m.vcca"),
+             "--folds", "2", "--out", str(tmp_path / "ev")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --folds retrains per fold and therefore needs --method\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

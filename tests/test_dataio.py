@@ -87,6 +87,31 @@ class TestMatrixFiles:
         with pytest.raises(DatasetError, match="declares"):
             read_matrix_csv(tmp_path / "bad.csv")
 
+    def test_csv_zero_rows_round_trip(self, tmp_path):
+        write_matrix_csv(tmp_path / "m.csv", np.empty((0, 3)))
+        got = read_matrix_csv(tmp_path / "m.csv")  # the suite turns any warning into an error
+        assert got.shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [("0,3\n1.0,2.0,3.0\n", "header declares 0x3 but file holds"),
+         ("2,3\n", "header declares 2x3 but file holds"),
+         ("2,3\n\n  \n", "header declares 2x3 but file holds"),
+         ("1,3\n1.0,abc,3.0\n", "could not convert string 'abc'"),
+         ("2,3\n1,2,3\n1,2\n", "the number of columns changed")],
+        ids=["rows-after-a-zero-row-header", "no-rows", "blank-rows", "not-a-number", "ragged"],
+    )
+    def test_csv_body_that_disagrees_with_the_header_is_named(self, tmp_path, text, named):
+        (tmp_path / "bad.csv").write_text(text)
+        with pytest.raises(DatasetError, match=f"bad.csv: {named}"):
+            read_matrix_csv(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("header", ["two,3", "2", "0,-3", "-1,3"])
+    def test_csv_malformed_header_is_named(self, tmp_path, header):
+        (tmp_path / "bad.csv").write_text(f"{header}\n")
+        with pytest.raises(DatasetError, match=f"bad.csv: malformed CSV header '{header}'"):
+            read_matrix_csv(tmp_path / "bad.csv")
+
     def test_binary_bad_magic(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"NOTAMAT0" + b"\0" * 16)
         with pytest.raises(DatasetError, match="magic"):
@@ -216,10 +241,12 @@ class TestManifestRoundTrip:
             (lambda m: m["venues"][0].update(lon="-inf"), r"venue 'a': position must be finite, got \(10.0, -inf\)"),
             (lambda m: m["venues"][0].update(category=1e400), r"venue entry 0: 'category' must be a number, got inf"),
             (lambda m: m["venues"][1].update(id=7), r"venue entry 1: 'id' must be a string, got 7"),
+            (lambda m: m.__delitem__("dim_x"), r"manifest lacks required key 'dim_x'"),
+            (lambda m: m.update(dim_x=5), r"venue 'a': photo file a_photos.bin has 6 dims, expected 5"),
         ],
         ids=["no-lat", "no-id", "venues-not-a-list", "entry-not-an-object", "manifest-not-an-object",
              "lat-string", "lon-null", "category-string", "dim-string", "dim-null", "dim-list", "dim-x-negative", "dim-y-negative",
-             "lat-nan", "lon-inf", "category-inf", "id-number"],
+             "lat-nan", "lon-inf", "category-inf", "id-number", "no-dim-x", "photo-width"],
     )
     def test_malformed_entry_is_named(self, tmp_path, edit, message):
         write_dataset([make_venue("a"), make_venue("b", seed=1)], tmp_path / "manifest.json")
@@ -229,6 +256,20 @@ class TestManifestRoundTrip:
         with pytest.raises(DatasetError, match=message) as info:
             load_dataset(tmp_path / "manifest.json")
         assert "manifest.json" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "venues,message",
+        [
+            ([make_venue("a"), make_venue("b", d_x=5)], "venues disagree on feature dimensionality"),
+            ([make_venue("../x")], r"venue id '\.\./x' is not filename-safe"),
+        ],
+        ids=["mixed-dims", "unsafe-id"],
+    )
+    def test_unwritable_venues_are_rejected(self, tmp_path, venues, message):
+        with pytest.raises(DatasetError, match=message):
+            write_dataset(venues, tmp_path / "out" / "manifest.json")
+        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "x_text.csv").exists()
 
     @given(flips=st.lists(st.tuples(st.integers(0, 599), st.integers(0, 255)), min_size=1, max_size=3))
     @settings(max_examples=150, deadline=None)
@@ -344,6 +385,10 @@ class TestBuildPairs:
         v = VenueRecord("empty", 1, 0.0, 0.0, np.zeros(4), np.empty((0, 6)))
         with pytest.raises(DatasetError, match="no photos"):
             build_pairs([v], SplitSpec(seed=0, train_venue_fraction=1.0))
+
+    def test_empty_venue_list_rejected(self):
+        with pytest.raises(DatasetError, match="cannot build pairs from an empty venue list"):
+            build_pairs([], SplitSpec(seed=0))
 
     def test_split_spec_validation(self):
         with pytest.raises(ValueError):

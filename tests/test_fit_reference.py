@@ -48,8 +48,8 @@ def c_cca():
 def c_kcca():
     venues, train, test, groups = corpus(90, 0.6)
     got = fit_kcca(train.X, train.Y, K, RIDGE, groups=groups, beta=BETA)
-    map_x, Rx = KernelMap.fit(train.X, "gaussian", median_heuristic_bandwidth(train.X))
-    map_y, Ry = KernelMap.fit(train.Y, "gaussian", median_heuristic_bandwidth(train.Y))
+    map_x, Rx = KernelMap.fit(train.X, median_heuristic_bandwidth(train.X))
+    map_y, Ry = KernelMap.fit(train.Y, median_heuristic_bandwidth(train.Y))
     want = KernelCcaModel(map_x, map_y, reference_head(Rx, Ry, groups))
     return venues, test, got, want
 

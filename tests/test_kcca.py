@@ -6,9 +6,9 @@ from venuecca.cca import GroupIndex, fit_cca
 from venuecca.dataio import SplitSpec, SynthConfig, build_pairs, synth_generate
 from venuecca.kcca import (
     KernelMap,
+    _center_columns,
     fit_kcca,
     gaussian_kernel,
-    linear_kernel,
     median_heuristic_bandwidth,
 )
 from venuecca.linalg import NotPositiveDefiniteError, regularized_covariance
@@ -40,12 +40,6 @@ class TestKernels:
             with pytest.raises(ValueError, match="sigma"):
                 gaussian_kernel(A, A, sigma=bad)
 
-    def test_linear_kernel_is_gram(self):
-        rng = np.random.default_rng(2)
-        A = rng.standard_normal((3, 5))
-        B = rng.standard_normal((3, 4))
-        npt.assert_allclose(linear_kernel(A, B), A.T @ B, atol=1e-14)
-
     def test_median_heuristic(self):
         # three points on a line: pairwise distances 1, 1, 2 -> median 1
         A = np.array([[0.0, 1.0, 2.0]])
@@ -67,7 +61,9 @@ class TestFitKcca:
         X = rng.standard_normal((3, 40))
         Y = 0.6 * X[:2] + 0.4 * rng.standard_normal((2, 40))
         lin = fit_cca(X, Y, k=2, r=0.0)
-        ker = fit_kcca(X, Y, k=2, r=1e-8, kernel="linear")
+        # the dual solve on centered linear Gram matrices is linear CCA
+        Rx, Ry = (_center_columns(K, K.mean(axis=1), K.mean()) for K in (X.T @ X, Y.T @ Y))
+        ker = fit_cca(Rx, Ry, k=2, r=1e-8)
         npt.assert_allclose(ker.rho, lin.rho, atol=1e-6)
 
     def test_quadratic_link_beats_linear(self):
@@ -123,7 +119,7 @@ class TestFitKcca:
         # factorisation fails first reports the smallest eigenvalue of its own
         spectra = {}
         for Z in (X, Y):
-            _, R = KernelMap.fit(Z, "gaussian", median_heuristic_bandwidth(Z))
+            _, R = KernelMap.fit(Z, median_heuristic_bandwidth(Z))
             evals = np.linalg.eigvalsh(regularized_covariance(R - R.mean(axis=1, keepdims=True), 0.0))
             spectra[evals[0]] = evals[-1]
         assert exc.value.eigenvalue in spectra

@@ -37,6 +37,15 @@ class TestRegularizedCovariance:
         npt.assert_array_equal(C, C.T)
         assert np.linalg.eigvalsh(C)[0] >= 0.5 - 1e-12
 
+    @pytest.mark.parametrize("layout", ["every-other-column", "transposed", "reversed-columns"])
+    def test_strided_batch_is_exactly_symmetric(self, layout):
+        # a matrix product of two strided operands need not be symmetric
+        big = np.random.default_rng(2).standard_normal((300, 3996))
+        Z = {"every-other-column": big[:, ::2], "transposed": big[:, :300].T, "reversed-columns": big[:, ::-1]}[layout]
+        C = regularized_covariance(Z, 1e-4)
+        npt.assert_array_equal(C, C.T)
+        npt.assert_allclose(C, regularized_covariance(np.array(Z), 1e-4), rtol=0, atol=1e-12)
+
     def test_too_few_samples(self):
         with pytest.raises(DegenerateBatchError):
             regularized_covariance(np.ones((3, 1)), 0.0)

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -45,7 +46,6 @@ def test_kernel_model_round_trip(data, tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.sigma_x == model.sigma_x
-    assert loaded.map_x.kernel == model.map_x.kernel
     Z = np.random.default_rng(1).standard_normal((5, 7))
     npt.assert_array_equal(loaded.project(Z, "image"), model.project(Z, "image"))
     npt.assert_array_equal(loaded.rho, model.rho)
@@ -272,6 +272,59 @@ def test_bad_deep_config_is_named(edit, named, tmp_path):
     path = tmp_path / "m.vcca"
     write_container(path, kind, meta, blocks)
     with pytest.raises(DatasetError, match=f"m.vcca.*{named}"):
+        load_model(path)
+
+
+def cut_columns(name, cols):
+    return lambda meta, blocks: blocks.update({name: blocks[name][:, :cols]})
+
+
+def cut_rows(name, rows):
+    return lambda meta, blocks: blocks.update({name: blocks[name][:rows]})
+
+
+def set_entry(name, value):
+    return lambda meta, blocks: blocks[name].__setitem__((0, 0), value)
+
+
+def set_layer(side, key, value):
+    return lambda meta, blocks: meta[f"net_{side}_layers"][0].update({key: value})
+
+
+# case: (golden method, edit of its meta and blocks, what the error names)
+MODEL_FILES_THAT_DO_NOT_LOAD = {
+    "kernel-mu-too-short": ("c-kcca", cut_columns("mu_x", 7), r"does not project a zero image vector \(operands"),
+    "deep-layer-too-narrow": ("c-dcca", cut_columns("net_x_W1", 3), "does not project a zero image vector"),
+    "linear-W-nan": ("cca", set_entry("Wx", np.nan), "projects a zero image vector to values that are not finite"),
+    "deep-text-bias-nan": ("dcca", set_entry("net_y_b0", np.nan), "projects a zero text vector to values that are not finite"),
+    "kernel-sigma-negative": (
+        "c-kcca", lambda meta, blocks: meta.update(sigma_x=-1), r"does not project a zero image vector \(sigma must be > 0"
+    ),
+    "kernel-unknown": (
+        "c-kcca", lambda meta, blocks: meta.update(kernel="poly"), "unknown kernel 'poly'; only 'gaussian' is supported"
+    ),
+    "kernel-sigma-text": ("kcca", lambda meta, blocks: meta.update(sigma_x="wide"), "could not convert string to float"),
+    "kernel-sigma-null": ("kcca", lambda meta, blocks: meta.update(sigma_y=None), r"float\(\) argument must be"),
+    "deep-activation-unknown": ("dcca", set_layer("x", "activation", "relu"), "unknown activation 'relu'"),
+    "deep-dropout-out-of-range": ("dcca", set_layer("y", "dropout_rate", 1.5), "dropout_rate must lie in"),
+    "deep-config-not-an-object": ("dcca", lambda meta, blocks: meta.update(config=[50]), "deep-cca config must be an object"),
+    "deep-layers-not-a-list": ("dcca", lambda meta, blocks: meta.update(net_x_layers=3), "not iterable"),
+    "linear-mean-without-rows": ("cca", cut_rows("mean_y", 0), "block 'mean_y' must have one row, got 0"),
+    "kernel-mu-of-two-rows": (
+        "kcca", lambda meta, blocks: blocks.update(mu_x=np.vstack([blocks["mu_x"]] * 2)),
+        "block 'mu_x' must have one row, got 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_FILES_THAT_DO_NOT_LOAD)
+def test_model_file_that_does_not_load_is_named(case, tmp_path):
+    method, edit, named = MODEL_FILES_THAT_DO_NOT_LOAD[case]
+    kind, meta, blocks = read_container(GOLDEN / f"{method}.vcca")
+    edit(meta, blocks)
+    path = tmp_path / "m.vcca"
+    write_container(path, kind, meta, blocks)
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: .*{named}"):
         load_model(path)
 
 

@@ -148,6 +148,13 @@ class TestIndex:
                 coords=np.zeros((2, 2)),
                 vectors=np.zeros((3, 2)),
             )
+        with pytest.raises(ValueError, match="index vectors disagree on venue count"):
+            VenueIndex(
+                venue_ids=["a", "b"],
+                categories=np.array([1, 2]),
+                coords=np.zeros((2, 2)),
+                vectors=np.zeros((3, 3)),
+            )
 
 
 class TestRankVenues:
@@ -517,6 +524,22 @@ class TestEvaluate:
         with pytest.warns(UserWarning, match="clamped to pool size"):
             geo = evaluate(identity_model(3), index, test, geo_radius_km=0.5)
         assert geo.mrr1 >= plain.mrr1
+
+    @pytest.mark.parametrize("n,cutoffs", [(40, [1, 2, 5, 10, 20, 40]), (60, [1, 2, 5, 10, 20, 50, 60]),
+                                           (50, [1, 2, 5, 10, 20, 50]), (3, [1, 2, 3])])
+    def test_cutoffs_are_the_fixed_set_within_the_index(self, n, cutoffs):
+        test = self.make_test_set(n=n)
+        report = evaluate(identity_model(3), self.make_parallel_index(test), test)
+        assert report.cutoffs == cutoffs and all(type(c) is int for c in report.cutoffs)
+        assert report.recall_precision_csv().split("\n")[1:-1][-1].startswith(f"{n},")
+
+    def test_every_query_skipped_is_an_error(self):
+        test = self.make_test_set()
+        test.categories[:] = 9  # no venue of the index shares it
+        index = self.make_parallel_index(replace(test, categories=np.ones(test.n, dtype=int)))
+        with pytest.warns(UserWarning, match="40 queries had no relevant venue"):
+            with pytest.raises(ValueError, match="every query was skipped; MAP is undefined"):
+                evaluate(identity_model(3), index, test)
 
     def test_report_serialization_round_trip(self):
         import json
