@@ -4,7 +4,7 @@ beta each method runs at."""
 
 from .cca import GroupIndex, fit_cca
 from .dcca import train_dcca
-from .kcca import fit_kcca
+from .kcca import _usable_bandwidth, fit_kcca
 from .neural import TrainConfig
 
 METHODS = ("cca", "c-cca", "kcca", "c-kcca", "dcca", "c-dcca")
@@ -22,13 +22,13 @@ def resolve_beta(method, beta):
 
 def check_sigma(method, sigma):
     """Reject a bandwidth the method cannot take: sigma is for kcca and
-    c-kcca only, and must be > 0 (None: median heuristic)."""
+    c-kcca only, and must be one a Gaussian kernel can use (None: median
+    heuristic)."""
     if sigma is None:
         return
     if method not in ("kcca", "c-kcca"):
         raise ValueError(f"sigma applies to kernel methods, not {method}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    _usable_bandwidth(sigma)
 
 
 def fit(method, train, config=None, sigma=None):

@@ -502,6 +502,9 @@ TRAIN_FLAG_CASES = [
     ("c-dcca", ["--train-fraction", "2"], "train_venue_fraction"),
     ("c-dcca", ["--extra-photo-ratio", "-0.5"], "extra_photo_ratio"),
     ("c-kcca", ["--sigma", "0"], "sigma must be > 0"),
+    ("c-kcca", ["--sigma", "inf"], "sigma must be > 0"),
+    ("kcca", ["--sigma", "1e-200"], "sigma must be > 0 with 2 sigma^2 and its inverse finite, got 1e-200"),
+    ("kcca", ["--sigma", "1e-160"], "sigma must be > 0 with 2 sigma^2 and its inverse finite, got 1e-160"),
     ("c-dcca", ["--sigma", "2"], "sigma applies to kernel methods"),
     ("cca", ["--beta", "0.5"], "beta"),
 ]

@@ -45,16 +45,34 @@ def c_cca():
     return venues, test, got, reference_head(train.X, train.Y, groups)
 
 
-def c_kcca():
-    venues, train, test, groups = corpus(90, 0.6)
-    got = fit_kcca(train.X, train.Y, K, RIDGE, groups=groups, beta=BETA)
-    map_x, Rx = KernelMap.fit(train.X, median_heuristic_bandwidth(train.X))
+def kcca_against_reference(X, train, groups):
+    got = fit_kcca(X, train.Y, K, RIDGE, groups=groups, beta=BETA)
+    map_x, Rx = KernelMap.fit(X, median_heuristic_bandwidth(X))
     map_y, Ry = KernelMap.fit(train.Y, median_heuristic_bandwidth(train.Y))
-    want = KernelCcaModel(map_x, map_y, reference_head(Rx, Ry, groups))
-    return venues, test, got, want
+    return got, KernelCcaModel(map_x, map_y, reference_head(Rx, Ry, groups))
 
 
-@pytest.mark.parametrize("setup", [c_cca, c_kcca], ids=["c-cca", "c-kcca"])
+def c_kcca():
+    # every training text repeats once per photo of its venue
+    venues, train, test, groups = corpus(90, 0.6)
+    return venues, test, *kcca_against_reference(train.X, train, groups)
+
+
+def c_kcca_photos_repeat():
+    # photos repeat too, with counts 3 and 1, so the lifted Wx is scaled
+    # unevenly and the sign of some components is pinned on another row
+    venues, train, test, groups = corpus(90, 0.6)
+    half = train.n // 2
+    X = train.X[:, np.r_[np.arange(half) // 3 * 3, half:train.n]]
+    return venues, test, *kcca_against_reference(X, train, groups)
+
+
+SETUPS = pytest.mark.parametrize(
+    "setup", [c_cca, c_kcca, c_kcca_photos_repeat], ids=["c-cca", "c-kcca", "c-kcca-both-views-repeat"]
+)
+
+
+@SETUPS
 def test_fit_and_ranking_match_full_svd_reference(setup):
     venues, test, model, ref_model = setup()
     # a linear model is its own head
@@ -72,7 +90,7 @@ def test_fit_and_ranking_match_full_svd_reference(setup):
             assert got.venue_ids == want.venue_ids
 
 
-@pytest.mark.parametrize("setup", [c_cca, c_kcca], ids=["c-cca", "c-kcca"])
+@SETUPS
 def test_fit_matches_full_svd_reference_up_to_column_sign(setup):
     """The check any correct solve passes, whatever sign it pins: each
     canonical pair may flip, Wx and Wy together. A second sign pin is

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.spatial.distance import pdist
 
 from venuecca.cca import GroupIndex, fit_cca
 from venuecca.dataio import SplitSpec, SynthConfig, build_pairs, synth_generate
@@ -40,6 +41,21 @@ class TestKernels:
             with pytest.raises(ValueError, match="sigma"):
                 gaussian_kernel(A, A, sigma=bad)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e-160, 1e-200, 1e200])
+    def test_gaussian_rejects_sigma_whose_square_is_not_usable(self, bad):
+        # 2 sigma^2 would be inf, nan, subnormal or 0: every entry exp(0),
+        # 0/0, or an exponent that overflows for points 1 apart
+        A = np.array([[0.0, 1.0, 3.0]])
+        with pytest.raises(ValueError, match="sigma must be > 0 with 2 sigma\\^2 and its inverse finite"):
+            gaussian_kernel(A, A, sigma=bad)
+
+    def test_gaussian_at_the_smallest_usable_sigma_is_the_identity(self):
+        # 2 sigma^2 just above the smallest normal float: -d^2 / (2 sigma^2)
+        # overflows to -inf for these distances, and exp gives its 0
+        sigma = float(np.sqrt(np.finfo(float).tiny / 2)) * 1.01
+        A = np.array([[0.0, 1.0, 3.0]])
+        assert np.array_equal(gaussian_kernel(A, A, sigma), np.eye(3))
+
     def test_median_heuristic(self):
         # three points on a line: pairwise distances 1, 1, 2 -> median 1
         A = np.array([[0.0, 1.0, 2.0]])
@@ -48,6 +64,42 @@ class TestKernels:
             median_heuristic_bandwidth(np.zeros((2, 1)))
         with pytest.raises(ValueError, match="coincide"):
             median_heuristic_bandwidth(np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("n,pairs", [(30, 435), (32, 496)], ids=["odd-pair-count", "even-pair-count"])
+    def test_median_over_distinct_columns_is_the_median_of_all_pairs(self, n, pairs):
+        rng = np.random.default_rng(20)
+        Y = rng.standard_normal((5, 12))[:, rng.integers(0, 12, n)]
+        dist = pdist(Y.T)
+        assert len(dist) == pairs
+        assert median_heuristic_bandwidth(Y) == float(np.median(dist))
+
+    @pytest.mark.parametrize(
+        "points,median",
+        [
+            # pairs 0, 0, 0, 2, 2, 2: the two middle ones are 0 and 2
+            ([0.0, 0.0, 0.0, 2.0], 1.0),
+            # pairs 0, 1, 1, 2, 3, 3: the lower middle one is the last 1
+            ([0.0, 0.0, 1.0, 3.0], 1.5),
+        ],
+    )
+    def test_median_of_repeated_points(self, points, median):
+        A = np.array([points])
+        assert median_heuristic_bandwidth(A) == float(np.median(pdist(A.T))) == median
+
+    def test_mostly_repeated_view_names_its_pairs_and_columns(self):
+        # counts 10, 1, 1: 45 of the 66 pairs are a column with itself
+        Y = np.array([[0.0] * 10 + [1.0, 2.0]])
+        with pytest.raises(ValueError, match=r"45 of 66 sample pairs coincide \(3 distinct columns among 12\); pass an explicit sigma"):
+            median_heuristic_bandwidth(Y)
+
+    def test_gathered_gram_is_the_full_gram(self):
+        rng = np.random.default_rng(21)
+        Y = rng.standard_normal((4, 15))[:, rng.integers(0, 15, 60)]
+        sigma = median_heuristic_bandwidth(Y)
+        fmap, R = KernelMap.fit(Y, sigma)
+        K = gaussian_kernel(Y, Y, sigma)
+        assert np.array_equal(fmap.mu, K.mean(axis=1)) and fmap.grand == float(K.mean())
+        assert np.array_equal(R, _center_columns(K, fmap.mu, fmap.grand))
 
 
 class TestFitKcca:
@@ -134,6 +186,49 @@ class TestFitKcca:
         views[view][0, 3] = bad
         with pytest.raises(ValueError, match=f"{view} holds NaN or inf"):
             fit_kcca(views["X"], views["Y"], k=2, r=1e-3)
+
+    @pytest.mark.parametrize(
+        "sigmas",
+        [dict(sigma_x=np.nan), dict(sigma_y=np.inf), dict(sigma_x=1e-160), dict(sigma_x=1e-200)],
+        ids=["nan", "inf", "subnormal", "underflow"],
+    )
+    def test_unusable_sigma_is_named(self, sigmas):
+        rng = np.random.default_rng(10)
+        with pytest.raises(ValueError, match="sigma must be > 0"):
+            fit_kcca(rng.standard_normal((3, 25)), rng.standard_normal((2, 25)), k=2, r=1e-3, **sigmas)
+
+
+class TestDistinctColumnFit:
+    """Where the head is not fitted on distinct columns, fit_kcca must be
+    bit for bit its head fitted on all n centered kernel columns. Data
+    whose columns repeat is checked against the full-SVD reference in
+    tests/test_fit_reference.py."""
+
+    @staticmethod
+    def assert_is_the_n_column_fit(X, Y, k, r, sigma, **blend):
+        got = fit_kcca(X, Y, k, r, sigma_x=sigma, sigma_y=sigma, **blend)
+        (map_x, Rx), (map_y, Ry) = KernelMap.fit(X, sigma), KernelMap.fit(Y, sigma)
+        want = fit_cca(Rx, Ry, k, r, **blend)
+        for name in ("mean_x", "mean_y", "Wx", "Wy", "rho"):
+            assert np.array_equal(getattr(got.head, name), getattr(want, name)), name
+        for a, b in zip(got.feature_maps, (map_x, map_y)):
+            assert a.sigma == b.sigma and a.grand == b.grand
+            assert np.array_equal(a.mu, b.mu) and np.array_equal(a.train, b.train)
+
+    def test_without_repeats_is_the_n_column_fit(self):
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((3, 80))
+        Y = 0.5 * X[:2] + 0.5 * rng.standard_normal((2, 80))
+        groups = GroupIndex.from_labels(1 + rng.integers(0, 4, 80))
+        self.assert_is_the_n_column_fit(X, Y, 4, 1e-3, 1.0, groups=groups, beta=0.3)
+
+    @pytest.mark.parametrize("u", [2, 3], ids=["fewer-than-k", "as-many-as-k"])
+    def test_no_more_distinct_columns_than_components_keeps_all_rows(self, u):
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((3, 40))
+        Y = rng.standard_normal((2, u))[:, np.arange(40) % u]
+        self.assert_is_the_n_column_fit(X, Y, 3, 1e-3, 1.0)
+
 
 class TestKccaProject:
     def make_model(self, seed=10, n=50):

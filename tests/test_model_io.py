@@ -300,6 +300,9 @@ MODEL_FILES_THAT_DO_NOT_LOAD = {
     "kernel-sigma-negative": (
         "c-kcca", lambda meta, blocks: meta.update(sigma_x=-1), r"does not project a zero image vector \(sigma must be > 0"
     ),
+    "kernel-sigma-infinite": (
+        "c-kcca", lambda meta, blocks: meta.update(sigma_x=np.inf), r"does not project a zero image vector \(sigma must be > 0"
+    ),
     "kernel-unknown": (
         "c-kcca", lambda meta, blocks: meta.update(kernel="poly"), "unknown kernel 'poly'; only 'gaussian' is supported"
     ),
